@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit
-        print(f"witrees: error: {exc}", file=sys.stderr)
+        print(f"witrees: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

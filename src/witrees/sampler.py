@@ -10,7 +10,11 @@ binary tree is a uniform size-(n-l) tree with a uniform l-subset of its
 leaves expanded, where l is chosen with probability
 C(n-l, l) * B_{n-l} / B_n.  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
-uniform, not merely approximately so.
+uniform, not merely approximately so.  The expansions are replayed by
+``evolution_step`` on a flat mutable ``GrowingTree`` (labels, child ids
+and the preorder leaf list) at O(n) per growth step, and the immutable
+tree is built once at the end; the random stream and hence every seeded
+output is the same as replaying them on immutable trees.
 
 Randomness comes from Python's ``random.Random`` (MT19937).  Uniform
 integers below a bound are drawn by rejection on ``getrandbits`` and leaf
@@ -28,6 +32,7 @@ from . import exact
 from .exact import CountTable, GuardExceeded, binom
 from .trees import (
     CompletedTree,
+    GrowingTree,
     bullet_positions,
     evolution_step,
     iter_nodes,
@@ -174,13 +179,15 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
         else:  # pragma: no cover - unreachable, weights sum to the entry
             raise AssertionError("cumulative walk fell through")
 
-    # grow back up, drawing a uniform leaf subset per recorded step
-    t = root_tree(k)
+    # grow back up on a flat state, drawing a uniform leaf subset per step;
+    # the unused root_tree call marks where growth starts for the per-phase
+    # split of perfbench's tracer, which hooks that function
+    root_tree(k)
+    state = GrowingTree(k)
     for take in reversed(takes):
-        leaves = bullet_positions(t.root)
-        chosen = _subset_indices(ctx.rng, len(leaves), take)
-        t = evolution_step(t, [leaves[i] for i in chosen], t.max_label + 1)
-    return t
+        chosen = _subset_indices(ctx.rng, state.size, take)
+        state = evolution_step(state, chosen, state.max_label + 1)
+    return state.freeze()
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ k fresh bullet-leaves.  Every completed tree is produced by exactly one
 sequence of such steps starting from the one-node root tree, which is what
 makes counting and uniform sampling by recurrence possible.
 
-All tree values are immutable; operations return new trees.
+All tree values are immutable; operations return new trees.  The one
+exception is ``GrowingTree``, a mutable flat state that the exact
+sampler expands in place and freezes into a ``CompletedTree`` at the end.
 """
 
 from __future__ import annotations
@@ -217,16 +219,94 @@ def root_tree(arity: int) -> CompletedTree:
     return CompletedTree(arity, Node(1, (BULLET,) * arity))
 
 
+class GrowingTree:
+    """Mutable flat form of a completed tree, for replaying growth steps.
+
+    Node ids are in creation order (the root is 0); each node has a label
+    and k child ids, -1 marking a bullet.  ``leaves`` lists the bullets as
+    (node, slot) pairs in preorder, the order of ``bullet_positions``.  An
+    ``evolution_step`` on it takes preorder leaf indices instead of paths
+    and costs O(size); ``freeze`` builds the immutable tree once.
+    """
+
+    __slots__ = ("arity", "labels", "children", "leaves")
+
+    def __init__(self, arity: int) -> None:
+        if arity < 2:
+            raise ValueError(f"arity must be >= 2, got {arity}")
+        self.arity = arity
+        self.labels = [1]
+        self.children = [[-1] * arity]
+        self.leaves = [(0, i) for i in range(arity)]
+
+    @property
+    def size(self) -> int:
+        return len(self.leaves)
+
+    @property
+    def max_label(self) -> int:
+        # a step labels its nodes one above every earlier label
+        return self.labels[-1]
+
+    def freeze(self) -> CompletedTree:
+        """The immutable tree, built bottom-up without recursion.
+
+        Children are created after their parents, so they have larger ids
+        and are built first when ids are visited in descending order.
+        """
+        labels, children = self.labels, self.children
+        nodes: list = [None] * len(labels)
+        for v in range(len(labels) - 1, -1, -1):
+            nodes[v] = Node(
+                labels[v], tuple(BULLET if c < 0 else nodes[c] for c in children[v])
+            )
+        return CompletedTree(self.arity, nodes[0])
+
+
+def _grow_flat(t: GrowingTree, leaf_indices, next_label: int) -> GrowingTree:
+    if next_label != t.max_label + 1:
+        raise ValueError(f"next label must be {t.max_label + 1}, got {next_label}")
+    k, leaves = t.arity, t.leaves
+    # a new node's k bullets take the place of the expanded bullet in preorder
+    expanded: list[tuple[int, int]] = []
+    spliced: list[tuple[int, int]] = []
+    start = 0
+    for i in leaf_indices:
+        if not start <= i < len(leaves):
+            raise ValueError(f"leaf indices must increase within [0, {len(leaves)})")
+        node = len(t.labels) + len(expanded)
+        expanded.append(leaves[i])
+        spliced += leaves[start:i]
+        spliced += [(node, j) for j in range(k)]
+        start = i + 1
+    if not expanded:
+        raise ValueError("leaf subset must be nonempty")
+    # link only once every index is checked, so a rejected step changes nothing
+    for node, (parent, slot) in enumerate(expanded, len(t.labels)):
+        t.children[parent][slot] = node
+    t.labels += [next_label] * len(expanded)
+    t.children += [[-1] * k for _ in expanded]
+    spliced += leaves[start:]
+    t.leaves = spliced
+    return t
+
+
 def evolution_step(
-    t: CompletedTree, leaf_subset, next_label: int
-) -> CompletedTree:
+    t: Union[CompletedTree, GrowingTree], leaf_subset, next_label: int
+) -> Union[CompletedTree, GrowingTree]:
     """Expand a nonempty subset of bullet-leaves into nodes labeled ``next_label``.
 
     Each selected bullet is replaced by a node carrying ``next_label`` and
     ``t.arity`` fresh bullets, so the size grows by ``len(leaf_subset) *
     (arity - 1)``.  ``next_label`` must be exactly one more than the current
     maximal label.
+
+    On a ``CompletedTree`` the subset is given by paths and a new tree is
+    returned.  On a ``GrowingTree`` it is given by an iterable of increasing
+    preorder leaf indices, and the state is expanded in place and returned.
     """
+    if isinstance(t, GrowingTree):
+        return _grow_flat(t, leaf_subset, next_label)
     subset = {tuple(p) for p in leaf_subset}
     if not subset:
         raise ValueError("leaf subset must be nonempty")
@@ -294,30 +374,37 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     mask_len = (k + 7) // 8
     out = bytearray()
     _write_varint(out, k)
-
-    def walk(node: Node) -> None:
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
         _write_varint(out, node.label)
         mask = 0
         for i, slot in enumerate(node.slots):
             if isinstance(slot, Node):
                 mask |= 1 << i
         out.extend(mask.to_bytes(mask_len, "little"))
-        for slot in node.slots:
+        for slot in reversed(node.slots):
             if isinstance(slot, Node):
-                walk(slot)
-
-    walk(t.root)
+                stack.append(slot)
     return bytes(out)
 
 
 def decode_encoding(data: bytes) -> CompletedTree:
-    """Inverse of ``canonical_encoding``."""
+    """Inverse of ``canonical_encoding``.
+
+    Raises ``ValueError`` for a malformed byte string and for one that
+    encodes a tree violating the weakly increasing label constraints.
+    """
     k, pos = _read_varint(data, 0)
     if k < 2:
         raise ValueError(f"encoded arity {k} is invalid")
     mask_len = (k + 7) // 8
 
-    def read_node(pos: int) -> tuple[Node, int]:
+    # read the nodes in preorder until no announced child is left unread
+    labels: list[int] = []
+    masks: list[int] = []
+    pending = 1
+    while pending:
         label, pos = _read_varint(data, pos)
         if pos + mask_len > len(data):
             raise ValueError("truncated encoding: mask runs past end")
@@ -325,19 +412,22 @@ def decode_encoding(data: bytes) -> CompletedTree:
         pos += mask_len
         if mask >> k:
             raise ValueError("mask has bits beyond the arity")
-        slots: list[Slot] = []
-        for i in range(k):
-            if mask & (1 << i):
-                child, pos = read_node(pos)
-                slots.append(child)
-            else:
-                slots.append(BULLET)
-        return Node(label, tuple(slots)), pos
-
-    root, pos = read_node(pos)
+        labels.append(label)
+        masks.append(mask)
+        pending += mask.bit_count() - 1
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after encoding")
-    return CompletedTree(k, root)
+    # build bottom-up in reverse preorder: a node's subtrees were built just
+    # before it, and its first child's subtree is on top of the stack
+    built: list[Node] = []
+    for label, mask in zip(reversed(labels), reversed(masks)):
+        slots = tuple(built.pop() if mask >> i & 1 else BULLET for i in range(k))
+        built.append(Node(label, slots))
+    tree = CompletedTree(k, built[0])
+    result = validate(tree, k)
+    if not result:
+        raise ValueError(f"encoded tree is not weakly increasing: {result.message}")
+    return tree
 
 
 # --------------------------------------------------------------------------

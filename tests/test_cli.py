@@ -220,3 +220,14 @@ def test_oeis_check_needs_source():
 def test_unknown_subcommand_exits_2():
     cp = run_cli("frobnicate")
     assert cp.returncode == 2
+
+
+def test_error_without_message_names_the_exception(monkeypatch, capsys):
+    from witrees import cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_count", out_of_memory)
+    assert cli.main(["count", "--k", "2", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "witrees: error: MemoryError\n"

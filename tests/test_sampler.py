@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +8,22 @@ from hypothesis import strategies as st
 from witrees.sampler import (
     SamplerContext,
     _expansion_weights,
+    _randbelow,
+    _subset_indices,
     enumerate_all,
     sample_uniform,
     tree_statistics,
 )
-from witrees.trees import canonical_encoding, complete, root_tree, validate
+from witrees.trees import (
+    bullet_positions,
+    canonical_encoding,
+    complete,
+    decode_encoding,
+    evolution_step,
+    root_tree,
+    validate,
+)
+from tests.conftest import FIXTURES
 from tests.test_trees import figure_tree, strip
 
 
@@ -76,6 +90,58 @@ def test_sample_deterministic_under_seed():
     assert runs[0] == runs[1]
     other = SamplerContext.create(2, 15, seed=43)
     assert [canonical_encoding(sample_uniform(other, 15)) for _ in range(5)] != runs[0]
+
+
+def reference_sample(ctx, n):
+    """The sampler replayed by rebuilding the tree at every growth step.
+
+    Same descent and same random stream as ``sample_uniform``, but each step
+    rescans the leaves with ``bullet_positions`` and rebuilds the tree with
+    ``evolution_step``, which checks the subset, the label and every leaf.
+    """
+    k = ctx.k
+    index, base_index = (n, 2) if k == 2 else ((n - 1) // (k - 1), 1)
+    takes = []
+    m = index
+    while m > base_index:
+        r = _randbelow(ctx.rng, ctx.table.entry(m))
+        acc = 0
+        for l, w in _expansion_weights(ctx, m):
+            acc += w
+            if r < acc:
+                takes.append(l)
+                m -= l
+                break
+    t = root_tree(k)
+    for take in reversed(takes):
+        leaves = bullet_positions(t.root)
+        chosen = _subset_indices(ctx.rng, len(leaves), take)
+        t = evolution_step(t, [leaves[i] for i in chosen], t.max_label + 1)
+    return t
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sample_equals_the_rebuilding_reference(k):
+    for seed in range(50):
+        n = 1 + (k - 1) * (1 + seed)
+        fast = SamplerContext.create(k, n, seed)
+        slow = SamplerContext.create(k, n, seed)
+        for _ in range(2):
+            assert sample_uniform(fast, n) == reference_sample(slow, n)
+
+
+def golden_samples():
+    """Seeded sample encodings generated by the loop that ``reference_sample`` replays."""
+    with open(os.path.join(FIXTURES, "sample_golden.json")) as fh:
+        return json.load(fh)
+
+
+def test_seeded_samples_match_the_golden_file():
+    for case in golden_samples():
+        ctx = SamplerContext.create(case["k"], case["n"], case["seed"])
+        drawn = [canonical_encoding(sample_uniform(ctx, case["n"])).hex()
+                 for _ in case["encodings"]]
+        assert drawn == case["encodings"], case
 
 
 def test_sample_zero_count_sizes_rejected():
@@ -155,10 +221,14 @@ def test_statistics_consistency_kary():
     assert stats.size == 2 * stats.node_count + 1 == 13
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_sampling_is_total_and_valid(seed):
-    ctx = SamplerContext.create(2, 12, seed=seed)
-    t = sample_uniform(ctx, 12)
-    assert t.size == 12
-    assert validate(strip(t), 2)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_sampling_is_total_and_valid(seed, k, m):
+    n = 1 + (k - 1) * m
+    t = sample_uniform(SamplerContext.create(k, n, seed), n)
+    assert t.size == n
+    assert validate(strip(t), k)
+    data = canonical_encoding(t)
+    back = decode_encoding(data)
+    assert back == t
+    assert canonical_encoding(back) == data

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from witrees.trees import (
     BULLET,
     CompletedTree,
+    GrowingTree,
     LabeledTree,
     Node,
     bullet_positions,
@@ -18,6 +19,7 @@ from witrees.trees import (
     render_indented,
     root_tree,
     validate,
+    _write_varint,
 )
 
 
@@ -150,6 +152,54 @@ def test_evolution_errors():
         evolution_step(grown, [(0,)], 3)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_flat_evolution_matches_path_evolution(k):
+    # every history of up to three steps, as leaf indices on the flat
+    # state and as the same preorder paths on the immutable tree
+    def histories(t, flat_steps, depth):
+        yield t, flat_steps
+        if depth == 0:
+            return
+        leaves = bullet_positions(t.root)
+        for take in (1, 2):
+            for idx in itertools.combinations(range(len(leaves)), take):
+                grown = evolution_step(t, [leaves[i] for i in idx], t.max_label + 1)
+                yield from histories(grown, flat_steps + [idx], depth - 1)
+
+    for t, steps in histories(root_tree(k), [], 3):
+        state = GrowingTree(k)
+        for idx in steps:
+            assert evolution_step(state, idx, state.max_label + 1) is state
+        assert state.size == t.size
+        assert state.max_label == t.max_label
+        assert state.freeze() == t
+
+
+def test_flat_evolution_errors():
+    state = GrowingTree(2)
+    with pytest.raises(ValueError, match="nonempty"):
+        evolution_step(state, [], 2)
+    with pytest.raises(ValueError, match="next label"):
+        evolution_step(state, [0], 3)
+    with pytest.raises(ValueError, match="increase"):
+        evolution_step(state, [1, 0], 2)
+    with pytest.raises(ValueError, match="increase"):
+        evolution_step(state, [0, 0], 2)
+    with pytest.raises(ValueError, match="increase"):
+        evolution_step(state, [2], 2)
+    with pytest.raises(ValueError, match="increase"):
+        evolution_step(state, [-1], 2)
+    with pytest.raises(ValueError, match="increase"):
+        evolution_step(state, [0, 5], 2)
+    # a rejected step leaves the state untouched
+    assert state.freeze() == root_tree(2)
+    with pytest.raises(ValueError, match="arity"):
+        GrowingTree(1)
+    # the indices may come from any iterable, a one-shot generator included
+    grown = evolution_step(state, (i for i in (0, 1)), 2)
+    assert grown.freeze() == evolution_step(root_tree(2), [(0,), (1,)], 2)
+
+
 # ---------------------------------------------------------------- encoding
 
 
@@ -190,6 +240,32 @@ def test_decode_rejects_garbage():
         decode_encoding(enc + b"\x00")
     with pytest.raises(ValueError):
         decode_encoding(enc[:-1])
+
+
+def binary_chain_encoding(labels) -> bytes:
+    """Encoding of a binary tree whose nodes each hang in slot 0 of the previous one."""
+    out = bytearray([2])
+    for depth, label in enumerate(labels):
+        _write_varint(out, label)
+        out.append(1 if depth < len(labels) - 1 else 0)
+    return bytes(out)
+
+
+def test_deep_chain_round_trips_without_recursion():
+    data = binary_chain_encoding(range(1, 3001))
+    t = decode_encoding(data)
+    assert t.max_label == 3000
+    assert canonical_encoding(t) == data
+
+
+def test_decode_rejects_child_labelled_like_parent():
+    with pytest.raises(ValueError, match="not weakly increasing: label 1 at"):
+        decode_encoding(binary_chain_encoding([1, 1]))
+
+
+def test_decode_rejects_lone_root_labelled_5():
+    with pytest.raises(ValueError, match="not weakly increasing: label 1 is missing"):
+        decode_encoding(binary_chain_encoding([5]))
 
 
 # ---------------------------------------------------------------- rendering
