@@ -33,6 +33,7 @@ from .exact import (
     count_binary_upto,
     count_by_max_label,
     count_kary_upto,
+    count_upto_size,
 )
 from .oeis import OeisBFile, ShiftReport, find_shift, load_bfile, parse_bfile
 from .sampler import (

@@ -3,18 +3,20 @@
 The exact counts grow superexponentially (B_n >= (n-1)! already), so all
 asymptotic work happens on scaled sequences with at most polynomial decay:
 
-* binary:  b_n = B_n * (ln 2)^n / (n-1)!   with  b_n -> eta * n^{-ln 2},
 * arity k: h_m = H_m * (ln 2)^m / ((k-1)^m * m!), decaying like a power of m
-  with the irrational exponent (2 - k ln 2) / (2(k-1)) - 1.
+  with the irrational exponent (2 - k ln 2) / (2(k-1)) - 1,
+* binary:  b_n = B_n * (ln 2)^n / (n-1)!   with  b_n -> eta * n^{-ln 2}.
 
-The scaled binary sequence satisfies its own recurrence
+The binary sequence is the k = 2 view: B_n = H_{n-1} gives
+b_n = ln 2 * h_{n-1}, and the exponent is -ln 2 at k = 2.  One kernel
+evaluates the scaled recurrence
 
-    b_n = sum_l ((ln 2)^l / l!) * gamma(n, l) * b_{n-l},
-    gamma(n, l) = C(n-l, l) / C(n-1, l),
+    h_m = sum_s ((ln 2 / (k-1))^s / s!) * delta_{m,s} * h_{m-s},
+    delta_{m,s} = C(1+(m-s)(k-1), s) / C(m, s) = gamma(m+1, s) at k = 2,
 
-whose summands are nonnegative, so it can be evaluated to essentially full
-working precision; ``scaled_from_exact`` provides the independent
-log-domain route from an exact count table for cross-checking.
+whose summands are nonnegative, to essentially full working precision;
+``scaled_from_exact`` is the independent log-domain route from an exact
+count table.  gamma, a_n and the integral route stay binary.
 
 Three estimators are provided for the constants:
 
@@ -56,6 +58,9 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+
+# largest admissible second index of delta_{n,s}: n - ceil((n-1)/k)
+from .exact import kary_smax as delta_smax
 
 #: Exponential growth factor of B_n / n! for binary trees, 1 / ln 2.
 ALPHA = 1.4426950408889634
@@ -165,11 +170,6 @@ def gamma_coeff(n: int, l: int, precision: Precision = Precision()) -> mp.mpf:
         return mp.mpf(g.numerator) / g.denominator
 
 
-def delta_smax(n: int, k: int) -> int:
-    """Largest admissible second index: n - ceil((n-1)/k)."""
-    return n - (n + k - 2) // k
-
-
 def delta_exact(k: int, n: int, s: int) -> Fraction:
     """delta_{n,s} = C(1+(n-s)(k-1), s) / C(n, s) as an exact rational."""
     if k < 3:
@@ -238,57 +238,37 @@ def _term_cutoff() -> mp.mpf:
 
 
 def scaled_b_recurrence(N: int, precision: Precision = Precision()) -> ScaledSequence:
-    """b_2..b_N from the scaled recurrence, seeded with b_2 = (ln 2)^2.
+    """b_2..b_N seeded with b_2 = (ln 2)^2: the k = 2 kernel, b_n = ln 2 h_{n-1}.
 
-    All summands are nonnegative, so the relative error is O(N ulp); the
-    inner sum is truncated once its superexponentially decaying weights
-    (ln 2)^l / l! drop below the working epsilon.
+    All summands are nonnegative, so the relative error is O(N ulp).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     with mp.workdps(precision.dps):
-        ln2 = mp.ln(2)
-        cutoff = _term_cutoff()
-        b = [mp.mpf(0), mp.mpf(0), ln2 ** 2]
-        for n in range(3, N + 1):
-            acc = mp.mpf(0)
-            w = ln2  # (ln 2)^l / l!
-            for l in range(1, n // 2 + 1):
-                if w < cutoff:
-                    break
-                if n - l >= 2:
-                    acc += w * mp.mpf(math.comb(n - l, l)) / math.comb(n - 1, l) * b[n - l]
-                w *= ln2 / (l + 1)
-            b.append(acc)
-        return ScaledSequence("b", 2, tuple(b), precision)
+        b = (mp.mpf(0), *_scaled_h(2, N - 1, mp.ln(2) ** 2))
+        return ScaledSequence("b", 2, b, precision)
 
 
 def scaled_from_exact(table, precision: Precision = Precision()) -> ScaledSequence:
     """Scale an exact count table in the log domain.
 
-    For a binary table this yields b_n = B_n (ln 2)^n / (n-1)!; for a k-ary
-    H-table, h_m = H_m (ln 2)^m / ((k-1)^m m!).  Values are computed as
-    exp(ln V + m ln ln 2 - ...) so that no factorial-sized number is formed.
+    For a k-ary H-table this yields h_m = H_m (ln 2)^m / ((k-1)^m m!); for
+    the binary view (index n = m + 1), b_n = B_n (ln 2)^n / (n-1)!.  Values
+    are computed as exp(ln V + n ln ln 2 - ...) so that no factorial-sized
+    number is formed.
     """
     with mp.workdps(precision.dps):
         lnln2 = mp.log(mp.ln(2))
+        lnk1 = mp.log(table.k - 1)
         values = [mp.mpf(0)] * (table.max_index + 1)
-        if table.kind == "B":
-            kind = "b"
-            for n in range(2, table.max_index + 1):
-                v = table.entry(n)
-                if v:
-                    values[n] = mp.exp(mp.log(mp.mpf(v)) + n * lnln2 - _log_gamma(mp.mpf(n)))
-        else:
-            kind = "h"
-            lnk1 = mp.log(table.k - 1)
-            for m in range(1, table.max_index + 1):
-                v = table.entry(m)
-                if v:
-                    values[m] = mp.exp(
-                        mp.log(mp.mpf(v)) + m * (lnln2 - lnk1) - _log_gamma(mp.mpf(m + 1))
-                    )
-        return ScaledSequence(kind, table.k, tuple(values), precision)
+        for n in range(1, table.max_index + 1):
+            v = table.entry(n)
+            if v:
+                m = n - table.offset
+                values[n] = mp.exp(
+                    mp.log(mp.mpf(v)) + n * lnln2 - m * lnk1 - _log_gamma(mp.mpf(m + 1))
+                )
+        return ScaledSequence("b" if table.offset else "h", table.k, tuple(values), precision)
 
 
 def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
@@ -361,37 +341,44 @@ def an_identity_residual(b: ScaledSequence, a: ScaledSequence, n: int) -> mp.mpf
         return abs(b[n] - a[n] - s)
 
 
+def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
+    """h_0..h_N of the scaled k-ary recurrence with h_1 = ``seed`` (N >= 1).
+
+    h_n = sum_s ((ln 2/(k-1))^s / s!) delta_{n,s} h_{n-s}; since
+    delta_{n,s} <= (k-1)^s the terms decay at least like (ln 2)^s / s!, and
+    the inner sum stops once that bound drops below the working epsilon.
+    Runs at the caller's working precision.
+    """
+    ln2 = mp.ln(2)
+    base = ln2 / (k - 1)
+    cutoff = _term_cutoff()
+    h = [mp.mpf(0), seed]
+    for n in range(2, N + 1):
+        acc = mp.mpf(0)
+        u = base  # (ln2/(k-1))^s / s!
+        scale = k - 1  # (k-1)^s, so u*scale bounds the term weight
+        for s in range(1, delta_smax(n, k) + 1):
+            if u * scale < cutoff:
+                break
+            if n - s >= 1:
+                num = math.comb(1 + (n - s) * (k - 1), s)
+                acc += u * mp.mpf(num) / math.comb(n, s) * h[n - s]
+            u *= base / (s + 1)
+            scale *= k - 1
+        h.append(acc)
+    return h
+
+
 def scaled_h_recurrence(
     k: int, N: int, precision: Precision = Precision()
 ) -> ScaledSequence:
-    """h_1..h_N for arity k >= 3, seeded with h_1 = ln(2)/(k-1).
-
-    Same structure as the binary case with weights (ln 2 / (k-1))^s / s!
-    and the delta coefficients; delta_{n,s} <= (k-1)^s, so terms decay at
-    least like (ln 2)^s / s! and the inner sum truncates quickly.
-    """
+    """h_1..h_N for arity k >= 3, seeded with h_1 = ln(2)/(k-1)."""
     if k < 3:
         raise ValueError("scaled_h_recurrence requires arity >= 3")
     if N < 1:
         raise ValueError("N must be >= 1")
     with mp.workdps(precision.dps):
-        ln2 = mp.ln(2)
-        base = ln2 / (k - 1)
-        cutoff = _term_cutoff()
-        h = [mp.mpf(0), base]
-        for n in range(2, N + 1):
-            acc = mp.mpf(0)
-            u = base  # (ln2/(k-1))^s / s!
-            scale = k - 1  # (k-1)^s, so u*scale bounds the term weight
-            for s in range(1, delta_smax(n, k) + 1):
-                if u * scale < cutoff:
-                    break
-                if n - s >= 1:
-                    num = math.comb(1 + (n - s) * (k - 1), s)
-                    acc += u * mp.mpf(num) / math.comb(n, s) * h[n - s]
-                u *= base / (s + 1)
-                scale *= k - 1
-            h.append(acc)
+        h = _scaled_h(k, N, mp.ln(2) / (k - 1))
         return ScaledSequence("h", k, tuple(h), precision)
 
 

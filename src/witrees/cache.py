@@ -16,23 +16,16 @@ from __future__ import annotations
 
 import os
 import re
-import sys
 import tempfile
 from typing import Union
 
-from .exact import CountTable, LabelStratifiedTable, ROUTE_RECURRENCE
+from .exact import CountTable, LabelStratifiedTable, ROUTE_RECURRENCE, unlimited_int_digits
 
 _HEADER_RE = re.compile(r"^# wit-cache v1 kind=(B|H|Bmn) k=(\d+)$")
 
 
 class CacheError(ValueError):
     """Malformed, mismatched or corrupt cache file."""
-
-
-def _allow_big_ints() -> None:
-    # counts easily exceed the default int<->str conversion guard
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -48,9 +41,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+@unlimited_int_digits()
 def cache_save(table: Union[CountTable, LabelStratifiedTable], path: str) -> None:
     """Write a table to ``path`` in the cache format."""
-    _allow_big_ints()
     lines = []
     if isinstance(table, LabelStratifiedTable):
         lines.append("# wit-cache v1 kind=Bmn k=2")
@@ -63,6 +56,7 @@ def cache_save(table: Union[CountTable, LabelStratifiedTable], path: str) -> Non
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+@unlimited_int_digits()
 def cache_load(
     path: str,
     expect_kind: str | None = None,
@@ -73,7 +67,6 @@ def cache_load(
     ``expect_kind`` / ``expect_k`` guard against answering a request for
     one table with a cache of another.
     """
-    _allow_big_ints()
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:

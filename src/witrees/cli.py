@@ -56,6 +56,8 @@ def cmd_count(args) -> int:
     if args.n is None and args.upto is None:
         raise ValueError("count needs --n or --upto")
     bound = args.upto if args.upto is not None else args.n
+    if bound < 0:
+        raise ValueError(f"size must be nonnegative, got {bound}")
     if args.route == "funceq":
         if k != 2:
             raise ValueError("the functional-equation route is binary only")
@@ -64,11 +66,7 @@ def cmd_count(args) -> int:
     elif args.route == "brute":
         get = lambda n: exact.brute_force_count(k, n)  # noqa: E731
     else:
-        if k == 2:
-            table = exact.count_binary_upto(max(bound, 2))
-        else:
-            table = exact.count_kary_upto(k, max(1, (bound - 1) // (k - 1)))
-        get = table.g
+        get = exact.count_upto_size(k, bound).g
 
     if args.upto is None:
         print(get(args.n))
@@ -86,6 +84,8 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     kind = args.kind or ("B" if args.k == 2 else "H")
+    if kind != "H" and args.k != 2:
+        raise ValueError(f"kind {kind} tables are binary; use --k 2 or --kind H")
     table = _build_table(args.k, kind, args.upto)
     out = args.out
     if out is None:

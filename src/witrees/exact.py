@@ -2,16 +2,14 @@
 
 Three independent routes are implemented:
 
-* ``count_binary_upto`` / ``count_kary_upto``: the size recurrence obtained
-  by removing the nodes that carry the maximal label.  For binary trees,
-  with B_2 = 1,
-
-      B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) * B_{n-l}        (n >= 3),
-
-  and for arity k the table is indexed by m with n = 1 + (k-1)m,
-  H_m = G_{1+(k-1)m}:
+* ``count_kary_upto``: the size recurrence obtained by removing the nodes
+  that carry the maximal label.  For arity k only the sizes
+  n = 1 + (k-1)m occur, and the table is indexed by m, H_m = G_{1+(k-1)m}:
 
       H_m = sum_{s=1}^{m - ceil((m-1)/k)} C(1+(m-s)(k-1), s) * H_{m-s}.
+
+  ``count_binary_upto`` is the k = 2 view indexed by size, B_n = H_{n-1};
+  the recurrence then reads B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) B_{n-l}.
 
 * ``count_binary_funceq``: fixed-point iteration of the generating-function
   equation B(z) = z^2 + B(z + z^2) - B(z) on truncated series.
@@ -24,7 +22,9 @@ All values are exact Python integers.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 #: Refuse brute-force runs expected to produce more trees than this.
@@ -37,6 +37,20 @@ ROUTE_BRUTE = "brute-force"
 
 class GuardExceeded(RuntimeError):
     """Raised when exhaustive generation would exceed the tree guard."""
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the int/str digit limit (B_300 has 658 digits), then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def binom(p: int, q: int) -> int:
@@ -53,11 +67,11 @@ def kary_smax(m: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact counts indexed by size (kind "B") or by H-index (kind "H").
+    """Exact counts indexed by H-index (kind "H") or by size (kind "B").
 
-    kind "B" tables hold B_0..B_N for binary trees (entries are counts by
-    size).  kind "H" tables hold H_0..H_M for arity k, where
-    H_m = G_{1+(k-1)m} and all other G_n vanish.
+    kind "H" tables hold H_0..H_M for arity k, where H_m = G_{1+(k-1)m} and
+    all other G_n vanish.  kind "B" tables are the binary view indexed by
+    size: they hold B_0..B_N with B_n = H_{n-1}, i.e. entry m is H_{m-1}.
     """
 
     k: int
@@ -72,16 +86,18 @@ class CountTable:
             raise ValueError("kind 'B' tables are binary")
         if any(v < 0 for v in self.values):
             raise ValueError("negative count in table")
-        if self.kind == "B":
-            seed = (0, 0, 1)
-        else:
-            seed = (0, 1)
+        seed = (0,) * self.offset + (0, 1)
         if self.values[: len(seed)] != seed[: len(self.values)]:
             raise ValueError(f"table seed is not {seed}")
 
     @property
     def max_index(self) -> int:
         return len(self.values) - 1
+
+    @property
+    def offset(self) -> int:
+        """Table index minus H-index: 1 for kind B, 0 for kind H."""
+        return 1 if self.kind == "B" else 0
 
     def entry(self, n: int) -> int:
         """Table value at index ``n`` (size for kind B, H-index for kind H)."""
@@ -91,11 +107,9 @@ class CountTable:
 
     def g(self, n: int) -> int:
         """Number of trees of *size* ``n``; zero off the arity lattice."""
-        if self.kind == "B":
-            return self.entry(n)
         if n < 1 or (n - 1) % (self.k - 1) != 0:
             return 0
-        return self.entry((n - 1) // (self.k - 1))
+        return self.entry((n - 1) // (self.k - 1) + self.offset)
 
 
 @dataclass(frozen=True)
@@ -116,20 +130,10 @@ class LabelStratifiedTable:
 
 
 def count_binary_upto(N: int) -> CountTable:
-    """Exact B_0..B_N by the size recurrence."""
+    """Exact B_0..B_N by the size recurrence: the k = 2 view, B_n = H_{n-1}."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    B = [0] * (N + 1)
-    B[2] = 1
-    for n in range(3, N + 1):
-        acc = 0
-        c = n - 1  # C(n-1, 1), updated in place along l
-        for l in range(1, n // 2 + 1):
-            acc += c * B[n - l]
-            # C(n-l-1, l+1) from C(n-l, l); exact integer division
-            c = c * (n - 2 * l) * (n - 2 * l - 1) // ((l + 1) * (n - l))
-        B[n] = acc
-    return CountTable(2, "B", ROUTE_RECURRENCE, tuple(B))
+    return CountTable(2, "B", ROUTE_RECURRENCE, (0, *_h_counts(2, N - 1)))
 
 
 def count_binary_funceq(N: int, max_iterations: int | None = None) -> CountTable:
@@ -189,12 +193,8 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     return LabelStratifiedTable(N, values)
 
 
-def count_kary_upto(k: int, M: int) -> CountTable:
-    """Exact H_0..H_M for arity k (H_m counts trees of size 1 + (k-1)m)."""
-    if k < 2:
-        raise ValueError("arity must be >= 2")
-    if M < 1:
-        raise ValueError("M must be >= 1")
+def _h_counts(k: int, M: int) -> list[int]:
+    """H_0..H_M for arity k by the size recurrence (M >= 1)."""
     H = [0] * (M + 1)
     H[1] = 1
     for m in range(2, M + 1):
@@ -202,17 +202,32 @@ def count_kary_upto(k: int, M: int) -> CountTable:
         c = 1 + (m - 1) * (k - 1)  # C(1+(m-1)(k-1), 1)
         for s in range(1, kary_smax(m, k) + 1):
             acc += c * H[m - s]
-            # advance to C(1+(m-s-1)(k-1), s+1)
+            # advance to C(a-(k-1), s+1) = C(a, s) (a-s)_k / ((s+1) (a)_{k-1})
             a = 1 + (m - s) * (k - 1)
-            num = 1
-            for i in range(k):
-                num *= a - s - i
-            den = s + 1
-            for i in range(k - 1):
-                den *= a - i
-            c = c * num // den
+            c = c * math.perm(a - s, k) // ((s + 1) * math.perm(a, k - 1))
         H[m] = acc
-    return CountTable(k, "H", ROUTE_RECURRENCE, tuple(H))
+    return H
+
+
+def count_kary_upto(k: int, M: int) -> CountTable:
+    """Exact H_0..H_M for arity k (H_m counts trees of size 1 + (k-1)m)."""
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    return CountTable(k, "H", ROUTE_RECURRENCE, tuple(_h_counts(k, M)))
+
+
+def count_upto_size(k: int, n: int) -> CountTable:
+    """The recurrence table covering every size up to ``n``.
+
+    Kind B (indexed by size) at k = 2, kind H (indexed by m) otherwise.
+    """
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    if k == 2:
+        return count_binary_upto(max(n, 2))
+    return count_kary_upto(k, max(1, (n - 1) // (k - 1)))
 
 
 def brute_force_count(k: int, n: int, guard: int | None = None) -> int:

@@ -9,10 +9,11 @@ sequence, i.e. count(n) = a(n - s) for every n in the overlapping range.
 from __future__ import annotations
 
 import re
-import sys
 import urllib.request
 from dataclasses import dataclass
 from typing import Optional
+
+from .exact import unlimited_int_digits
 
 _ID_RE = re.compile(r"^A(\d{6,7})$")
 
@@ -49,10 +50,9 @@ def bfile_url(seq_id: str) -> str:
     return f"https://oeis.org/{seq_id}/b{m.group(1)}.txt"
 
 
+@unlimited_int_digits()
 def parse_bfile(text: str, seq_id: str = "A000000") -> OeisBFile:
     """Parse b-file text; raises ``OeisParseError`` naming the bad line."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     entries: list[tuple[int, int]] = []
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -5,10 +5,11 @@ by running all growth histories; each tree appears exactly once because a
 tree determines its history.
 
 ``sample_uniform`` draws a tree exactly uniformly at random using the
-counting recurrence read as a probabilistic construction: a uniform size-n
-binary tree is a uniform size-(n-l) tree with a uniform l-subset of its
-leaves expanded, where l is chosen with probability
-C(n-l, l) * B_{n-l} / B_n.  All choices are made with exact integer
+counting recurrence read as a probabilistic construction: a uniform tree
+at H-index m is a uniform tree at H-index m-s with a uniform s-subset of
+its leaves expanded, where s is chosen with probability
+C(1+(m-s)(k-1), s) * H_{m-s} / H_m (for binary trees of size n = m+1 this
+is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
 uniform, not merely approximately so.  The expansions are replayed by
 ``evolution_step`` on a flat mutable ``GrowingTree`` (labels, child ids
@@ -96,12 +97,7 @@ class SamplerContext:
     @classmethod
     def create(cls, k: int, max_size: int, seed: int) -> "SamplerContext":
         """Build a context whose table covers all sizes up to ``max_size``."""
-        if k == 2:
-            table = exact.count_binary_upto(max(max_size, 2))
-        else:
-            m = max((max_size - 1) // (k - 1), 1)
-            table = exact.count_kary_upto(k, m)
-        return cls(k, table, seed, random.Random(seed))
+        return cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
 
 
 def _randbelow(rng: random.Random, bound: int) -> int:
@@ -123,22 +119,22 @@ def _subset_indices(rng: random.Random, population: int, take: int) -> list[int]
 
 
 def _expansion_weights(ctx: SamplerContext, m: int) -> list[tuple[int, int]]:
-    """(l, weight) pairs for one step down from table index ``m``.
+    """(s, weight) pairs for one step down from table index ``m``.
 
-    Weights are exact integers summing to the table entry at ``m``; the sum
-    is asserted, which re-proves the recurrence at every visited index.
+    With h = m - offset the H-index, expanding s leaves of a tree counted
+    at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s).  Weights
+    are exact integers summing to the table entry at ``m``; the sum is
+    asserted, which re-proves the recurrence at every visited index.
     """
     cached = ctx._weights.get(m)
     if cached is not None:
         return cached
-    if ctx.k == 2:
-        pairs = [(l, binom(m - l, l) * ctx.table.entry(m - l)) for l in range(1, m // 2 + 1)]
-    else:
-        k = ctx.k
-        pairs = [
-            (s, binom(1 + (m - s) * (k - 1), s) * ctx.table.entry(m - s))
-            for s in range(1, exact.kary_smax(m, k) + 1)
-        ]
+    k = ctx.k
+    h = m - ctx.table.offset
+    pairs = [
+        (s, binom(1 + (h - s) * (k - 1), s) * ctx.table.entry(m - s))
+        for s in range(1, exact.kary_smax(h, k) + 1)
+    ]
     total = sum(w for _, w in pairs)
     if total != ctx.table.entry(m):
         raise AssertionError(f"expansion weights at index {m} do not sum to the count")
@@ -153,16 +149,11 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     k-ary sizes, or sizes below the root tree).
     """
     k = ctx.k
-    if k == 2:
-        if n < 2 or ctx.table.g(n) == 0:
-            raise ValueError(f"no binary tree has size {n}")
-        index = n
-        base_index = 2
-    else:
-        if n < 1 or (n - 1) % (k - 1) != 0 or ctx.table.g(n) == 0:
-            raise ValueError(f"no {k}-ary tree has size {n}")
-        index = (n - 1) // (k - 1)
-        base_index = 1
+    if ctx.table.g(n) == 0:
+        raise ValueError(f"no {k}-ary tree has size {n}")
+    # table indices of size n and of the root tree (H-index 1)
+    index = (n - 1) // (k - 1) + ctx.table.offset
+    base_index = 1 + ctx.table.offset
 
     # walk the recurrence down, drawing one expansion cardinality per level
     takes: list[int] = []
@@ -170,11 +161,11 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     while m > base_index:
         r = _randbelow(ctx.rng, ctx.table.entry(m))
         acc = 0
-        for l, w in _expansion_weights(ctx, m):
+        for s, w in _expansion_weights(ctx, m):
             acc += w
             if r < acc:
-                takes.append(l)
-                m -= l
+                takes.append(s)
+                m -= s
                 break
         else:  # pragma: no cover - unreachable, weights sum to the entry
             raise AssertionError("cumulative walk fell through")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witrees import asymptotics as asy
+from witrees import exact
 from witrees.asymptotics import (
     Precision,
     correction_a,
@@ -208,6 +210,30 @@ def test_scaled_from_exact_kary(htab3_60, prec30):
     tol = prec30.tolerance()
     for n in range(1, 61):
         assert abs(hx[n] - h[n]) <= tol * h[n]
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_b_is_ln2_times_shifted_binary_h(digits):
+    # b_n = ln 2 * h_{n-1} at k = 2, since B_n = H_{n-1}
+    p = Precision(digits)
+    N = 300
+    b = scaled_b_recurrence(N, p)
+    h = scaled_from_exact(count_kary_upto(2, N - 1), p)
+    tol = p.tolerance()
+    with mp.workdps(p.dps):
+        for n in range(2, N + 1):
+            assert abs(b[n] - mp.ln(2) * h[n - 1]) <= tol * b[n], n
+
+
+def test_gamma_is_binary_delta():
+    # gamma(n+1, s) is the k = 2 case of delta_{n,s} = C(1+(n-s)(k-1), s) / C(n, s)
+    for n in range(1, 201):
+        top = (n + 1) // 2
+        assert top == exact.kary_smax(n, 2)
+        for s in range(1, top + 1):
+            assert gamma_exact(n + 1, s) == Fraction(math.comb(1 + (n - s), s), math.comb(n, s))
+        with pytest.raises(ValueError):
+            gamma_exact(n + 1, top + 1)
 
 
 def test_precision_robustness_1000():

@@ -1,4 +1,5 @@
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -95,6 +96,22 @@ def test_big_values_round_trip(tmp_path):
     p = tmp_path / "big.txt"
     cache_save(tab, str(p))
     assert cache_load(str(p)).values == tab.values
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_conversions_keep_the_callers_digit_limit(tmp_path, btab300):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(btab300.entry(300))  # B_300 has 658 digits
+        p = tmp_path / "b300.txt"
+        cache_save(btab300, str(p))
+        assert cache_load(str(p)).values == btab300.values
+        assert parse_bfile("1 " + "9" * 700 + "\n").entries == ((1, 10**700 - 1),)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 # ---------------------------------------------------------------- b-files

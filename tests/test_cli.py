@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 
 PAPER_PREFIX = [0, 0, 1, 2, 7, 34, 214, 1652, 15121, 160110, 1925442, 25924260,
                 386354366, 6314171932]
@@ -231,3 +233,25 @@ def test_error_without_message_names_the_exception(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_count", out_of_memory)
     assert cli.main(["count", "--k", "2", "--n", "5"]) == 1
     assert capsys.readouterr().err == "witrees: error: MemoryError\n"
+
+
+@pytest.mark.parametrize("route", ["recurrence", "funceq", "brute"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("flag, value", [("--n", "-5"), ("--upto", "-1")])
+def test_count_rejects_negative_sizes(capsys, route, k, flag, value):
+    from witrees import cli
+
+    assert cli.main(["count", "--k", str(k), flag, value, "--route", route]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"witrees: error: size must be nonnegative, got {value}\n"
+
+
+@pytest.mark.parametrize("kind", ["B", "Bmn"])
+def test_table_binary_kinds_reject_other_arities(tmp_path, capsys, kind):
+    from witrees import cli
+
+    argv = ["table", "--k", "3", "--kind", kind, "--upto", "20", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert f"kind {kind} tables are binary" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
