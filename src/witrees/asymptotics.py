@@ -47,7 +47,14 @@ g is evaluated through its regular part
     g_reg(t) = exp(-Int_0^t phi_reg(s) ds),
 
 where phi_reg is the integrand of log g with its simple pole at s = 1
-subtracted analytically (so g_reg extends continuously to t = 1).
+subtracted analytically (so g_reg extends continuously to t = 1).  The
+integral of phi_reg has a closed form in w = 1 - t,
+
+    Int_0^t phi_reg = (1 - ln 2) ln(2 ln 2 E(w)) + (ln 2)^2 / 2 - pi^2 / 12
+                      + Li2(1 - 2^-w),      E(w) = (1 - 2^-w) / (w ln 2),
+
+so each quadrature node costs one dilogarithm instead of an inner
+quadrature, and w'(t) is summed by Horner's rule in fixed-point integers.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 # largest admissible second index of delta_{n,s}: n - ceil((n-1)/k)
 from .exact import kary_smax as delta_smax
@@ -489,7 +497,9 @@ def _phi_reg(s: mp.mpf) -> mp.mpf:
     phi(s) = ln(2) (s ln 2 - 1) 2^s / (2 - 2^s) has a simple pole with
     residue -(1 - ln 2) at s = 1; phi_reg(s) = phi(s) + (1 - ln 2)/(1 - s)
     extends continuously.  Near s = 1 the subtraction is performed through
-    the series of T(w) = (2^-w - E(w))/w to avoid cancellation.
+    the series of T(w) = (2^-w - E(w))/w to avoid cancellation.  This is
+    the reference integrand: ``_neg_log_g_reg`` is its integral in closed
+    form, and the tests check the two against each other.
     """
     ln2 = mp.ln(2)
     w = 1 - s
@@ -509,16 +519,67 @@ def _phi_reg(s: mp.mpf) -> mp.mpf:
     return (ln2 - 1) * t_sum / ew - ln2 * mp.power(2, -w) / ew
 
 
+def _neg_log_g_reg(w: mp.mpf) -> mp.mpf:
+    """Int_0^{1-w} phi_reg(s) ds in closed form, so g_reg(1-w) = exp(-this).
+
+    Integrating phi by parts gives, with t = 1 - w,
+
+        Int_0^t phi = -(t ln2 - 1) ln(2 - 2^t) + t ln^2 2
+                      - Li2(2^(t-1)) + Li2(1/2).
+
+    Write ln(2 - 2^t) = ln 2 + ln w + ln ln 2 + ln E(w) and take Li2(2^-w)
+    by reflection through Li2(1 - 2^-w), where 1 - 2^-w = w ln2 E(w).  The
+    pole term -(1 - ln 2) ln w and every w ln w term cancel analytically:
+
+        Int_0^t phi_reg = (1 - ln2) ln(2 ln2 E(w)) + ln^2 2 / 2 - pi^2 / 12
+                          + Li2(w ln2 E(w)),
+
+    with the polylogarithm argument in [0, 1/2] for w in [0, 1].
+    """
+    ln2 = mp.ln(2)
+    ew = _expm1_ratio(w)
+    return (
+        (1 - ln2) * mp.log(2 * ln2 * ew) + ln2 ** 2 / 2 - mp.pi ** 2 / 12
+        + mp.polylog(2, w * ln2 * ew)
+    )
+
+
 def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
     """Regular part of the homogeneous solution: g(t) (1-t)^{1 - ln 2}.
 
     Continuous on [0, 1] with g_regular(0) = 1; its value at 1 is the
-    closed-form prefactor returned by ``asymptotic_prefactor``.
+    closed-form prefactor returned by ``asymptotic_prefactor``.  Evaluated
+    as exp(-Int_0^t phi_reg) through the closed form of the integral in
+    w = 1 - t (``_neg_log_g_reg``), with no quadrature.
     """
     with mp.workdps(precision.dps):
         if t == 0:
             return mp.mpf(1)
-        return mp.exp(-mp.quad(_phi_reg, [0, t]))
+        return mp.exp(-_neg_log_g_reg(1 - mp.mpf(t)))
+
+
+def _w_prime(a: ScaledSequence):
+    """w'(t) = 2 (ln 2)^2 t + sum_{n>=4} n a_n t^{n-1} as a function of w = 1 - t.
+
+    The coefficients are converted once to Python ints with ``mp.prec + 64``
+    fractional bits; each evaluation is Horner's rule on those ints at
+    t = 1 - w, formed exactly in fixed point, and rounds once to an mpf.
+    Runs at the caller's working precision.
+    """
+    bits = mp.mp.prec + 64
+    one = 1 << bits
+    # coefficient of t^j, highest degree first: j = N-1, ..., 3 from a, then t^2, t^1, t^0
+    coeffs = [to_fixed((n * a[n])._mpf_, bits) for n in range(a.max_index, 3, -1)]
+    coeffs += [0, to_fixed((2 * mp.ln(2) ** 2)._mpf_, bits), 0]
+
+    def w_prime(w: mp.mpf) -> mp.mpf:
+        t = one - to_fixed(w._mpf_, bits)
+        acc = 0
+        for c in coeffs:
+            acc = (acc * t >> bits) + c
+        return mp.mpf((acc, -bits))
+
+    return w_prime
 
 
 def asymptotic_prefactor(precision: Precision = Precision()) -> mp.mpf:
@@ -563,31 +624,13 @@ def estimate_eta_integral(
                 "exceeds the target accuracy; extend the sequence"
             )
 
-        coeffs = [(n, n * a[n]) for n in range(4, N + 1)]
-        b2_twice = 2 * ln2 ** 2
-
-        def w_prime(t: mp.mpf) -> mp.mpf:
-            acc = mp.mpf(0)
-            tp = t ** 3
-            for _, c in coeffs:
-                acc += c * tp
-                tp *= t
-            return acc + b2_twice * t
-
-        g_cache: dict = {}
-
-        def g_reg(t: mp.mpf) -> mp.mpf:
-            v = g_cache.get(t)
-            if v is None:
-                v = mp.exp(-mp.quad(_phi_reg, [0, t]))
-                g_cache[t] = v
-            return v
+        w_prime = _w_prime(a)
 
         def integrand(u: mp.mpf) -> mp.mpf:
             # t = 1 - u^{1/omega} flattens the (1-t)^{-ln 2} endpoint
             w = u ** (1 / omega)
-            t = 1 - w
-            return w_prime(t) / (2 * ln2 * _expm1_ratio(w) * g_reg(t))
+            g_reg = mp.exp(-_neg_log_g_reg(w))
+            return w_prime(w) / (2 * ln2 * _expm1_ratio(w) * g_reg)
 
         quad_val, quad_err = mp.quad(integrand, [0, 1], error=True)
         integral = quad_val / omega

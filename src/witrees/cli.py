@@ -114,6 +114,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_scaled(args) -> int:
+    if args.kind != "h" and args.k != 2:
+        raise ValueError(f"kind {args.kind} sequences are binary; use --k 2 or --kind h")
     p = asymptotics.Precision(args.digits)
     if args.kind == "b":
         seq = asymptotics.scaled_b_recurrence(args.upto, p)
@@ -141,7 +143,9 @@ def cmd_estimate(args) -> int:
     method = args.method or _VALID_METHODS[target][0]
     if method not in _VALID_METHODS[target]:
         raise ValueError(f"method {method!r} is not valid for target {target!r}")
-    N = args.N or _DEFAULT_N[target]
+    if target == "eta" and args.k != 2:
+        raise ValueError("eta is the binary constant; use --k 2, or estimate exponent for k >= 3")
+    N = _DEFAULT_N[target] if args.N is None else args.N
     p = asymptotics.Precision(args.digits)
 
     if target == "alpha":

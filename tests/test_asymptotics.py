@@ -1,9 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witrees import asymptotics as asy
@@ -349,6 +350,50 @@ def test_prefactor_limit_matches_closed_form(prec30):
     closed = asy.asymptotic_prefactor(prec30)
     assert abs(limit - closed) <= mp.mpf(10) ** -25 * closed
     assert asy.g_regular(0, prec30) == 1
+
+
+# w = 1 - t in [0, 1]; tiny floats reach w < 1e-40, where 1 - w rounds to 1
+unit_w = st.one_of(st.floats(0, 1), st.floats(0, 1e-40))
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@given(w=unit_w)
+@example(w=0.0)
+@example(w=1.0)
+@example(w=1e-45)
+@settings(max_examples=15, deadline=None)
+def test_closed_form_g_reg_matches_the_phi_reg_quadrature(digits, w):
+    p = Precision(digits)
+    with mp.workdps(p.dps):
+        w = mp.mpf(w)
+        closed = mp.exp(-asy._neg_log_g_reg(w))
+        reference = mp.exp(-mp.quad(asy._phi_reg, [0, 1 - w]))
+        assert abs(closed - reference) <= p.tolerance() * reference
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_sequence(digits):
+    p = Precision(digits)
+    return correction_a(400, scaled_b_recurrence(400, p))
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@given(w=unit_w)
+@example(w=0.0)
+@example(w=1.0)
+@example(w=1e-45)
+@settings(max_examples=40, deadline=None)
+def test_fixed_point_w_prime_matches_the_mpf_horner_sum(digits, w):
+    a = _correction_sequence(digits)
+    p = a.precision
+    with mp.workdps(p.dps):
+        w = mp.mpf(w)
+        t = 1 - w
+        acc = mp.mpf(0)
+        for n in range(a.max_index, 3, -1):
+            acc = acc * t + n * a[n]
+        reference = acc * t ** 3 + 2 * mp.ln(2) ** 2 * t
+        assert abs(asy._w_prime(a)(w) - reference) <= p.tolerance() * abs(reference)
 
 
 def test_eta_integral_route_agrees(bseq1200, aseq1200):

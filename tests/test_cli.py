@@ -255,3 +255,43 @@ def test_table_binary_kinds_reject_other_arities(tmp_path, capsys, kind):
     assert cli.main(argv) == 1
     assert f"kind {kind} tables are binary" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind, k", [("b", 3), ("b", 5), ("a", 3)])
+def test_scaled_binary_kinds_reject_other_arities(tmp_path, capsys, kind, k):
+    from witrees import cli
+
+    out = tmp_path / "seq.csv"
+    argv = ["scaled", "--kind", kind, "--k", str(k), "--upto", "4", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"witrees: error: kind {kind} sequences are binary; use --k 2 or --kind h\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["extrapolation", "integral"])
+def test_estimate_eta_rejects_other_arities(capsys, method):
+    from witrees import cli
+
+    assert cli.main(["estimate", "eta", "--k", "3", "--N", "1100", "--method", method]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "witrees: error: eta is the binary constant; use --k 2, "
+        "or estimate exponent for k >= 3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "target, k, message",
+    [("alpha", 2, "N must be >= 2"), ("alpha", 3, "M must be >= 1"),
+     ("eta", 2, "N must be >= 2"), ("exponent", 3, "N must be >= 1")],
+)
+def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, message):
+    from witrees import cli
+
+    assert cli.main(["estimate", target, "--k", str(k), "--N", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"witrees: error: {message}\n"

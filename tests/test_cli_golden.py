@@ -27,6 +27,7 @@ COMMANDS = [
     *(f"scaled --kind h --k {k} --upto 300 --digits {d}" for k in (3, 13) for d in (15, 30)),
     *(f"estimate alpha --k {k} --N 300" for k in (2, 3)),
     *(f"table --k {k} --upto 100 --out F" for k in (2, 3)),
+    *(f"estimate eta --method integral --N 600 --digits {d}" for d in (15, 30)),
 ]
 
 
