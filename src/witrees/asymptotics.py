@@ -18,6 +18,11 @@ whose summands are nonnegative, to essentially full working precision;
 ``scaled_from_exact`` is the independent log-domain route from an exact
 count table.  gamma, a_n and the integral route stay binary.
 
+The weights (ln 2 / (k-1))^s / s! decay superexponentially, so every sum
+over s stops at one index L, fixed per call: ``_weights(k)`` lists them up
+to L once, and the b/h kernel, ``correction_a`` and ``an_identity_residual``
+all read that list.
+
 Three estimators are provided for the constants:
 
 * ``estimate_alpha``: accelerated ratio estimate of the exponential growth
@@ -75,6 +80,12 @@ ALPHA = 1.4426950408889634
 
 #: Number of Bernoulli terms in the log-gamma Stirling series (see README).
 _LOG_GAMMA_TERMS = 26
+
+#: Smallest table or sequence index N each estimator accepts.
+ALPHA_MIN_N = 100
+ETA_EXTRAPOLATION_MIN_N = 1000
+ETA_INTEGRAL_MIN_N = 100
+EXPONENT_MIN_N = 2000
 
 
 @dataclass(frozen=True)
@@ -245,6 +256,26 @@ def _term_cutoff() -> mp.mpf:
     return mp.mpf(10) ** (-(mp.mp.dps + 3))
 
 
+def _weights(k: int) -> list:
+    """w[s] = (ln 2/(k-1))^s / s! for s = 0..L, at the working precision.
+
+    delta_{n,s} <= (k-1)^s, so a summand is at most w[s] (k-1)^s times an
+    O(1) value; the list ends before the first s where that bound falls
+    below ``_term_cutoff()``, and each kernel stops its sums there.  At
+    k = 2 dividing and multiplying by 1 is exact, so the list is the
+    binary (ln 2)^l / l! bit for bit.
+    """
+    base = mp.ln(2) / (k - 1)
+    cutoff = _term_cutoff()
+    w = [mp.mpf(1)]
+    u, scale = base, k - 1
+    while u * scale >= cutoff:
+        w.append(u)
+        u *= base / len(w)
+        scale *= k - 1
+    return w
+
+
 def scaled_b_recurrence(N: int, precision: Precision = Precision()) -> ScaledSequence:
     """b_2..b_N seeded with b_2 = (ln 2)^2: the k = 2 kernel, b_n = ln 2 h_{n-1}.
 
@@ -292,6 +323,7 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
     n = 2, so the identity starts at 3 and a_2 = 0).  The bracket
     gamma - 1 + l(l-1)/n is O(l^4 / n^2) and is evaluated in exact rational
     arithmetic to avoid cancellation; a_n itself decays like n^{-2-ln 2}.
+    Both sums read the one truncated weight list of ``_weights(2)``.
     """
     if b.kind != "b":
         raise ValueError("correction_a expects a kind-'b' sequence")
@@ -299,34 +331,15 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         raise ValueError(f"b covers only 0..{b.max_index}, need {N}")
     precision = b.precision
     with mp.workdps(precision.dps):
-        ln2 = mp.ln(2)
-        ln_ln2 = math.log(math.log(2.0))
-        cutoff = _term_cutoff()
-        ln_cutoff = math.log(10.0) * (-(mp.mp.dps + 3))
+        w = _weights(2)
         a = [mp.mpf(0)] * (N + 1)
         for n in range(3, N + 1):
             acc = mp.mpf(0)
-            w = ln2
-            for l in range(1, n // 2 + 1):
-                if w < cutoff:
-                    break
-                if n - l >= 2:
-                    bracket = (
-                        Fraction(math.comb(n - l, l), math.comb(n - 1, l))
-                        - 1
-                        + Fraction(l * (l - 1), n)
-                    )
-                    acc += w * (mp.mpf(bracket.numerator) / bracket.denominator) * b[n - l]
-                w *= ln2 / (l + 1)
-            l0 = n // 2 + 1
-            # skip the l > n/2 block once its leading weight is below cutoff
-            if l0 * ln_ln2 - math.lgamma(l0 + 1) > ln_cutoff:
-                w = mp.power(ln2, l0) / mp.factorial(l0)
-                for l in range(l0, n - 1):
-                    if w < cutoff:
-                        break
-                    acc -= w * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
-                    w *= ln2 / (l + 1)
+            for l in range(1, min(n // 2 + 1, len(w))):
+                bracket = gamma_exact(n, l) - 1 + Fraction(l * (l - 1), n)
+                acc += w[l] * (mp.mpf(bracket.numerator) / bracket.denominator) * b[n - l]
+            for l in range(n // 2 + 1, min(n - 1, len(w))):
+                acc -= w[l] * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
             a[n] = acc
         return ScaledSequence("a", 2, tuple(a), precision)
 
@@ -336,43 +349,28 @@ def an_identity_residual(b: ScaledSequence, a: ScaledSequence, n: int) -> mp.mpf
     if n < 3:
         raise ValueError("the smoothed identity holds for n >= 3")
     with mp.workdps(b.precision.dps):
-        ln2 = mp.ln(2)
-        cutoff = _term_cutoff()
+        w = _weights(2)
         s = mp.mpf(0)
-        w = ln2
-        for l in range(1, n + 1):
-            if w < cutoff:
-                break
-            if n - l >= 2:
-                s += w * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
-            w *= ln2 / (l + 1)
+        for l in range(1, min(n - 1, len(w))):
+            s += w[l] * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
         return abs(b[n] - a[n] - s)
 
 
 def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     """h_0..h_N of the scaled k-ary recurrence with h_1 = ``seed`` (N >= 1).
 
-    h_n = sum_s ((ln 2/(k-1))^s / s!) delta_{n,s} h_{n-s}; since
-    delta_{n,s} <= (k-1)^s the terms decay at least like (ln 2)^s / s!, and
-    the inner sum stops once that bound drops below the working epsilon.
-    Runs at the caller's working precision.
+    h_n = sum_s ((ln 2/(k-1))^s / s!) delta_{n,s} h_{n-s}, with s running
+    up to the smaller of delta's last index and the last index L of the
+    weight list ``_weights(k)``, built once per call.  Runs at the
+    caller's working precision.
     """
-    ln2 = mp.ln(2)
-    base = ln2 / (k - 1)
-    cutoff = _term_cutoff()
+    w = _weights(k)
     h = [mp.mpf(0), seed]
     for n in range(2, N + 1):
         acc = mp.mpf(0)
-        u = base  # (ln2/(k-1))^s / s!
-        scale = k - 1  # (k-1)^s, so u*scale bounds the term weight
-        for s in range(1, delta_smax(n, k) + 1):
-            if u * scale < cutoff:
-                break
-            if n - s >= 1:
-                num = math.comb(1 + (n - s) * (k - 1), s)
-                acc += u * mp.mpf(num) / math.comb(n, s) * h[n - s]
-            u *= base / (s + 1)
-            scale *= k - 1
+        for s in range(1, min(delta_smax(n, k) + 1, len(w))):
+            num = math.comb(1 + (n - s) * (k - 1), s)
+            acc += w[s] * mp.mpf(num) / math.comb(n, s) * h[n - s]
         h.append(acc)
     return h
 
@@ -417,9 +415,9 @@ def estimate_alpha(
     table and to (k-1)/ln 2 on a k-ary H-table.
     """
     N = table.max_index
-    if N < 100:
+    if N < ALPHA_MIN_N:
         raise ValueError(
-            f"ratio estimation needs a table up to at least 100, got {N}"
+            f"ratio estimation needs a table up to at least {ALPHA_MIN_N}, got {N}"
         )
     with mp.workdps(precision.dps):
         ns = list(range(N - window + 1, N + 1))
@@ -460,8 +458,8 @@ def estimate_eta_extrapolation(
     N = b.max_index if N is None else N
     if N > b.max_index:
         raise ValueError(f"b covers only 0..{b.max_index}, need {N}")
-    if N < 1000:
-        raise ValueError("eta extrapolation needs N >= 1000")
+    if N < ETA_EXTRAPOLATION_MIN_N:
+        raise ValueError(f"eta extrapolation needs N >= {ETA_EXTRAPOLATION_MIN_N}")
     with mp.workdps(b.precision.dps):
         pts = [N // 4, N // 2, N]
         xs = [mp.mpf(1) / p for p in pts]
@@ -607,7 +605,7 @@ def estimate_eta_integral(
         raise ValueError("the integral route consumes a correction sequence")
     precision = a.precision if precision is None else precision
     N = a.max_index
-    if N < 100:
+    if N < ETA_INTEGRAL_MIN_N:
         raise ValueError("correction sequence too short (need a few hundred terms)")
     with mp.workdps(precision.dps):
         ln2 = mp.ln(2)
@@ -695,8 +693,8 @@ def estimate_kary_exponent(
         raise ValueError("the exponent is estimated from a kind-'h' sequence")
     k = h.k if k is None else k
     N = h.max_index
-    if N < 2000:
-        raise ValueError("exponent estimation needs the sequence up to n >= 2000")
+    if N < EXPONENT_MIN_N:
+        raise ValueError(f"exponent estimation needs the sequence up to n >= {EXPONENT_MIN_N}")
     with mp.workdps(h.precision.dps):
         ln2 = mp.ln(2)
         pts = [N // 8, N // 4, N // 2]

@@ -136,6 +136,12 @@ _VALID_METHODS = {
     "eta": ("extrapolation", "integral"),
     "exponent": ("slope-fit",),
 }
+_MIN_N = {
+    "ratio": asymptotics.ALPHA_MIN_N,
+    "extrapolation": asymptotics.ETA_EXTRAPOLATION_MIN_N,
+    "integral": asymptotics.ETA_INTEGRAL_MIN_N,
+    "slope-fit": asymptotics.EXPONENT_MIN_N,
+}
 
 
 def cmd_estimate(args) -> int:
@@ -145,7 +151,11 @@ def cmd_estimate(args) -> int:
         raise ValueError(f"method {method!r} is not valid for target {target!r}")
     if target == "eta" and args.k != 2:
         raise ValueError("eta is the binary constant; use --k 2, or estimate exponent for k >= 3")
+    if target == "exponent" and args.k < 3:
+        raise ValueError("exponent estimation needs --k >= 3")
     N = _DEFAULT_N[target] if args.N is None else args.N
+    if N < _MIN_N[method]:
+        raise ValueError(f"estimate {target} needs --N >= {_MIN_N[method]}, got {N}")
     p = asymptotics.Precision(args.digits)
 
     if target == "alpha":
@@ -168,8 +178,6 @@ def cmd_estimate(args) -> int:
             a = asymptotics.correction_a(N, b)
             est = asymptotics.estimate_eta_integral(a, p)
     else:
-        if args.k < 3:
-            raise ValueError("exponent estimation needs --k >= 3")
         h = asymptotics.scaled_h_recurrence(args.k, N, p)
         est = asymptotics.estimate_kary_exponent(h)
     print(est.record())
@@ -330,15 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     # global flags use SUPPRESS so that either position wins; fill the rest
     for name, value in (("digits", 30), ("cache_dir", None), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, value if name != "cache_dir" else _default_cache_dir())
     try:
-        return args.func(args)
+        with exact.unlimited_int_digits():
+            return args.func(args)
     except BrokenPipeError:
         return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit

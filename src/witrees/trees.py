@@ -129,16 +129,29 @@ def iter_nodes(root: Node) -> Iterator[tuple[Path, Node]]:
 def bullet_positions(root: Node) -> list[Path]:
     """Paths of all bullet-leaves, in preorder (the canonical leaf order)."""
     out: list[Path] = []
-
-    def walk(node: Node, path: Path) -> None:
-        for i, slot in enumerate(node.slots):
-            if slot is BULLET:
-                out.append(path + (i,))
-            elif isinstance(slot, Node):
-                walk(slot, path + (i,))
-
-    walk(root, ())
+    stack: list[tuple[Path, Slot]] = [((), root)]
+    while stack:
+        path, slot = stack.pop()
+        if slot is BULLET:
+            out.append(path)
+        elif isinstance(slot, Node):
+            for i in range(len(slot.slots) - 1, -1, -1):
+                stack.append((path + (i,), slot.slots[i]))
     return out
+
+
+def _with_slot(root: Node, path: Path, content: Slot) -> Node:
+    """Copy of the tree with the slot at ``path`` set to ``content``.
+
+    Only the nodes on the path are rebuilt; every other subtree is shared,
+    which is safe because nodes are immutable.
+    """
+    spine = [root]
+    for i in path[:-1]:
+        spine.append(spine[-1].slots[i])
+    for node, i in zip(reversed(spine), reversed(path)):
+        content = Node(node.label, node.slots[:i] + (content,) + node.slots[i + 1:])
+    return content
 
 
 def node_at(root: Node, path: Path) -> Slot:
@@ -200,16 +213,12 @@ def complete(tree: LabeledTree, arity: int) -> CompletedTree:
     if not result:
         raise ValueError(f"invalid tree: {result.message}")
 
-    def fill(node: Node) -> Node:
-        return Node(
-            node.label,
-            tuple(
-                fill(s) if isinstance(s, Node) else BULLET
-                for s in node.slots
-            ),
-        )
-
-    return CompletedTree(arity, fill(tree.root))
+    # bottom-up in reverse preorder, as in decode_encoding: no recursion
+    built: list[Node] = []
+    for _, node in reversed(list(iter_nodes(tree.root))):
+        slots = tuple(built.pop() if isinstance(s, Node) else BULLET for s in node.slots)
+        built.append(Node(node.label, slots))
+    return CompletedTree(arity, built[0])
 
 
 def root_tree(arity: int) -> CompletedTree:
@@ -318,21 +327,11 @@ def evolution_step(
         if node_at(t.root, p) is not BULLET:
             raise ValueError(f"position {p!r} is not a bullet-leaf")
 
-    k = t.arity
-    fresh = (BULLET,) * k
-
-    def rebuild(node: Node, path: Path) -> Node:
-        new_slots: list[Slot] = []
-        for i, slot in enumerate(node.slots):
-            p = path + (i,)
-            if slot is BULLET:
-                new_slots.append(Node(next_label, fresh) if p in subset else BULLET)
-            else:
-                assert isinstance(slot, Node)
-                new_slots.append(rebuild(slot, p))
-        return Node(node.label, tuple(new_slots))
-
-    return CompletedTree(k, rebuild(t.root, ()))
+    fresh = (BULLET,) * t.arity
+    root = t.root
+    for p in subset:
+        root = _with_slot(root, p, Node(next_label, fresh))
+    return CompletedTree(t.arity, root)
 
 
 # --------------------------------------------------------------------------
@@ -437,19 +436,17 @@ def decode_encoding(data: bytes) -> CompletedTree:
 
 def render_indented(tree: Union[LabeledTree, CompletedTree]) -> str:
     """Indented preorder listing; one line per slot, bullets shown as '*'."""
-    root = tree.root
-    lines = [str(root.label)]
-
-    def walk(node: Node, depth: int) -> None:
-        pad = "  " * depth
-        for i, slot in enumerate(node.slots):
-            if isinstance(slot, Node):
-                lines.append(f"{pad}{i}: {slot.label}")
-                walk(slot, depth + 1)
-            elif slot is BULLET:
-                lines.append(f"{pad}{i}: *")
-
-    walk(root, 1)
+    lines = []
+    stack: list[tuple[int, int, Slot]] = [(0, -1, tree.root)]  # (depth, slot index, content)
+    while stack:
+        depth, i, slot = stack.pop()
+        head = f"{'  ' * depth}{i}: " if depth else ""
+        if isinstance(slot, Node):
+            lines.append(f"{head}{slot.label}")
+            for j in range(len(slot.slots) - 1, -1, -1):
+                stack.append((depth + 1, j, slot.slots[j]))
+        elif slot is BULLET:
+            lines.append(f"{head}*")
     return "\n".join(lines) + "\n"
 
 

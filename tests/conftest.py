@@ -1,12 +1,8 @@
 import os
-import sys
 
 import pytest
 
 from witrees import asymptotics, exact
-
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -226,6 +226,34 @@ def test_b_is_ln2_times_shifted_binary_h(digits):
             assert abs(b[n] - mp.ln(2) * h[n - 1]) <= tol * b[n], n
 
 
+def _scaled_h_per_index(k, N, seed):
+    """Reference: the kernel loop that rebuilt its weights and cutoff test at every n."""
+    base = mp.ln(2) / (k - 1)
+    cutoff = mp.mpf(10) ** (-(mp.mp.dps + 3))
+    h = [mp.mpf(0), seed]
+    for n in range(2, N + 1):
+        acc = mp.mpf(0)
+        u = base
+        scale = k - 1
+        for s in range(1, delta_smax(n, k) + 1):
+            if u * scale < cutoff:
+                break
+            num = math.comb(1 + (n - s) * (k - 1), s)
+            acc += u * mp.mpf(num) / math.comb(n, s) * h[n - s]
+            u *= base / (s + 1)
+            scale *= k - 1
+        h.append(acc)
+    return h
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("k", [2, 3, 13])
+def test_scaled_h_matches_the_per_index_loop(k, digits):
+    with mp.workdps(Precision(digits).dps):
+        seed = mp.ln(2) / (k - 1)
+        assert asy._scaled_h(k, 400, seed) == _scaled_h_per_index(k, 400, seed)
+
+
 def test_gamma_is_binary_delta():
     # gamma(n+1, s) is the k = 2 case of delta_{n,s} = C(1+(n-s)(k-1), s) / C(n, s)
     for n in range(1, 201):

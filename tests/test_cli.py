@@ -285,8 +285,10 @@ def test_estimate_eta_rejects_other_arities(capsys, method):
 
 @pytest.mark.parametrize(
     "target, k, message",
-    [("alpha", 2, "N must be >= 2"), ("alpha", 3, "M must be >= 1"),
-     ("eta", 2, "N must be >= 2"), ("exponent", 3, "N must be >= 1")],
+    [("alpha", 2, "estimate alpha needs --N >= 100, got 0"),
+     ("alpha", 3, "estimate alpha needs --N >= 100, got 0"),
+     ("eta", 2, "estimate eta needs --N >= 1000, got 0"),
+     ("exponent", 3, "estimate exponent needs --N >= 2000, got 0")],
 )
 def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, message):
     from witrees import cli
@@ -295,3 +297,42 @@ def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, messa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"witrees: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["eta", "--N", "999"], "estimate eta needs --N >= 1000, got 999"),
+     (["eta", "--method", "integral", "--N", "99"], "estimate eta needs --N >= 100, got 99"),
+     (["exponent", "--k", "3", "--N", "1999"], "estimate exponent needs --N >= 2000, got 1999"),
+     (["alpha", "--k", "3", "--N", "99"], "estimate alpha needs --N >= 100, got 99")],
+)
+def test_estimate_checks_the_size_before_building(monkeypatch, capsys, argv, message):
+    from witrees import asymptotics, cli, exact
+
+    def built(*args, **kwargs):
+        raise AssertionError("a builder ran before the size check")
+
+    for name in ("scaled_b_recurrence", "scaled_h_recurrence", "correction_a"):
+        monkeypatch.setattr(asymptotics, name, built)
+    for name in ("count_binary_upto", "count_kary_upto"):
+        monkeypatch.setattr(exact, name, built)
+    assert cli.main(["estimate", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"witrees: error: {message}\n"
+
+
+def test_main_keeps_the_callers_digit_limit(capsys):
+    from witrees import cli, exact
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["count", "--upto", "300", "--format", "csv"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+        with exact.unlimited_int_digits():
+            table = exact.count_binary_upto(300)
+            expected = "n,count\n" + "".join(f"{n},{table.g(n)}\n" for n in range(301))
+        assert capsys.readouterr().out == expected  # B_300 has 658 digits
+    finally:
+        sys.set_int_max_str_digits(before)

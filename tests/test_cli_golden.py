@@ -28,6 +28,8 @@ COMMANDS = [
     *(f"estimate alpha --k {k} --N 300" for k in (2, 3)),
     *(f"table --k {k} --upto 100 --out F" for k in (2, 3)),
     *(f"estimate eta --method integral --N 600 --digits {d}" for d in (15, 30)),
+    "figure fig2 --out F",  # b_n at D = 30, N = 1000
+    "figure fig3 --out F",  # h_n at D = 30, N = 1000, k = 3, 13, 49
 ]
 
 

@@ -256,6 +256,15 @@ def test_deep_chain_round_trips_without_recursion():
     t = decode_encoding(data)
     assert t.max_label == 3000
     assert canonical_encoding(t) == data
+    assert t.size == 3001
+    leaves = bullet_positions(t.root)
+    assert leaves[0] == (0,) * 3000 and leaves[-1] == (1,)
+    lines = render_indented(t).splitlines()
+    assert len(lines) == 6001 and lines[-1] == "  1: *"
+    assert lines[3000:3002] == ["  " * 3000 + "0: *", "  " * 3000 + "1: *"]
+    assert canonical_encoding(complete(LabeledTree(t.root), 2)) == data
+    grown = evolution_step(t, [leaves[0]], 3001)
+    assert grown.size == 3002 and grown.max_label == 3001
 
 
 def test_decode_rejects_child_labelled_like_parent():
