@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -285,18 +286,28 @@ def test_estimate_eta_rejects_other_arities(capsys, method):
 
 @pytest.mark.parametrize(
     "target, k, message",
-    [("alpha", 2, "estimate alpha needs --N >= 100, got 0"),
-     ("alpha", 3, "estimate alpha needs --N >= 100, got 0"),
-     ("eta", 2, "estimate eta needs --N >= 1000, got 0"),
-     ("exponent", 3, "estimate exponent needs --N >= 2000, got 0")],
+    [("alpha", 2, "N must be >= 2"), ("alpha", 3, "M must be >= 1"),
+     ("eta", 2, "N must be >= 2"), ("exponent", 3, "N must be >= 1")],
 )
 def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, message):
-    from witrees import cli
+    # --N 0 is refused up front, naming --N; the builder the estimate would
+    # run refuses a zero size on its own too, with `message`.
+    from witrees import asymptotics, cli, exact
+
+    builders = {
+        ("alpha", 2): lambda: exact.count_binary_upto(0),
+        ("alpha", 3): lambda: exact.count_kary_upto(3, 0),
+        ("eta", 2): lambda: asymptotics.scaled_b_recurrence(0),
+        ("exponent", 3): lambda: asymptotics.scaled_h_recurrence(3, 0),
+    }
 
     assert cli.main(["estimate", target, "--k", str(k), "--N", "0"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"witrees: error: {message}\n"
+    least = cli._MIN_N[cli._VALID_METHODS[target][0]]
+    assert err == f"witrees: error: estimate {target} needs --N >= {least}, got 0\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        builders[target, k]()
 
 
 @pytest.mark.parametrize(
