@@ -21,7 +21,9 @@ count table.  gamma, a_n and the integral route stay binary.
 The weights (ln 2 / (k-1))^s / s! decay superexponentially, so every sum
 over s stops at one index L, fixed per call: ``_weights(k)`` lists them up
 to L once, and the b/h kernel, ``correction_a`` and ``an_identity_residual``
-all read that list.
+all read that list.  The b/h kernel, ``correction_a`` and the integral
+route's w' sum on fixed-point Python ints with 64 bits beyond the working
+precision (``_Fixed``) and round each value once to an mpf.
 
 Three estimators are provided for the constants:
 
@@ -84,7 +86,7 @@ _LOG_GAMMA_TERMS = 26
 #: Smallest table or sequence index N each estimator accepts.
 ALPHA_MIN_N = 100
 ETA_EXTRAPOLATION_MIN_N = 1000
-ETA_INTEGRAL_MIN_N = 100
+ETA_INTEGRAL_MIN_N = 200
 EXPONENT_MIN_N = 2000
 
 
@@ -250,6 +252,26 @@ def _log_gamma(x: mp.mpf) -> mp.mpf:
 # --------------------------------------------------------------------------
 
 
+class _Fixed:
+    """Fixed-point numbers at the working precision, for the b/h/a/w' kernels.
+
+    A real x is held as the Python int floor(x 2^bits), bits = mp.prec + 64:
+    the 64 guard bits absorb the one-unit floor error of every summand of a
+    recurrence, and each finished value is rounded once, to nearest, back
+    to an mpf of the working precision.  Converting an mpf whose magnitude
+    exceeds 2^-64 is exact.
+    """
+
+    def __init__(self) -> None:
+        self.bits = mp.mp.prec + 64
+
+    def of(self, x: mp.mpf) -> int:
+        return to_fixed(x._mpf_, self.bits)
+
+    def to_mpf(self, v: int) -> mp.mpf:
+        return mp.mpf((v, -self.bits))
+
+
 def _term_cutoff() -> mp.mpf:
     # summands below this are beyond the working ulp of every partial sum
     # of interest (all sums here are O(1) and bounded below by ~n^-1)
@@ -263,7 +285,8 @@ def _weights(k: int) -> list:
     O(1) value; the list ends before the first s where that bound falls
     below ``_term_cutoff()``, and each kernel stops its sums there.  At
     k = 2 dividing and multiplying by 1 is exact, so the list is the
-    binary (ln 2)^l / l! bit for bit.
+    binary (ln 2)^l / l! bit for bit.  The fixed-point b/h kernel converts
+    w[s] (k-1)^s, not w[s], so that no weight loses relative precision.
     """
     base = mp.ln(2) / (k - 1)
     cutoff = _term_cutoff()
@@ -321,9 +344,14 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
     so that b_n = a_n + sum_{l=1}^{n} ((ln 2)^l / l!) (1 - l(l-1)/n) b_{n-l}
     holds identically for n >= 3 (the recurrence defining b is seeded at
     n = 2, so the identity starts at 3 and a_2 = 0).  The bracket
-    gamma - 1 + l(l-1)/n is O(l^4 / n^2) and is evaluated in exact rational
-    arithmetic to avoid cancellation; a_n itself decays like n^{-2-ln 2}.
-    Both sums read the one truncated weight list of ``_weights(2)``.
+    gamma - 1 + l(l-1)/n is O(l^4 / n^2); it is one exact integer ratio,
+
+        (n C(n-l, l) - n C(n-1, l) + l(l-1) C(n-1, l)) / (n C(n-1, l)),
+
+    so nothing cancels in rounding, and a_n itself decays like
+    n^{-2-ln 2}.  Both sums read the one truncated weight list of
+    ``_weights(2)`` and run on ``_Fixed`` integers (b converts to them
+    exactly); each a_n is rounded once to an mpf.
     """
     if b.kind != "b":
         raise ValueError("correction_a expects a kind-'b' sequence")
@@ -331,17 +359,20 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         raise ValueError(f"b covers only 0..{b.max_index}, need {N}")
     precision = b.precision
     with mp.workdps(precision.dps):
-        w = _weights(2)
-        a = [mp.mpf(0)] * (N + 1)
+        fx = _Fixed()
+        w = [fx.of(x) for x in _weights(2)]
+        bf = [fx.of(x) for x in b.values[: N + 1]]
+        a = [0] * (N + 1)
         for n in range(3, N + 1):
-            acc = mp.mpf(0)
+            acc = 0
             for l in range(1, min(n // 2 + 1, len(w))):
-                bracket = gamma_exact(n, l) - 1 + Fraction(l * (l - 1), n)
-                acc += w[l] * (mp.mpf(bracket.numerator) / bracket.denominator) * b[n - l]
+                c = math.comb(n - 1, l)
+                num = n * (math.comb(n - l, l) - c) + l * (l - 1) * c
+                acc += w[l] * bf[n - l] * num // (n * c << fx.bits)
             for l in range(n // 2 + 1, min(n - 1, len(w))):
-                acc -= w[l] * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
+                acc -= w[l] * bf[n - l] * (n - l * (l - 1)) // (n << fx.bits)
             a[n] = acc
-        return ScaledSequence("a", 2, tuple(a), precision)
+        return ScaledSequence("a", 2, tuple(fx.to_mpf(v) for v in a), precision)
 
 
 def an_identity_residual(b: ScaledSequence, a: ScaledSequence, n: int) -> mp.mpf:
@@ -361,18 +392,25 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
 
     h_n = sum_s ((ln 2/(k-1))^s / s!) delta_{n,s} h_{n-s}, with s running
     up to the smaller of delta's last index and the last index L of the
-    weight list ``_weights(k)``, built once per call.  Runs at the
-    caller's working precision.
+    weight list ``_weights(k)``, built once per call.  The sums run on
+    ``_Fixed`` integers: the weights are stored as W[s] = w[s] (k-1)^s,
+    which keeps their relative precision for k >= 3 (w[s] alone falls
+    like (k-1)^-s), and (k-1)^s joins the integer denominator of each
+    summand, W[s] h_{n-s} C(1+(n-s)(k-1), s) // (C(n, s) (k-1)^s).  Each
+    value is rounded once to an mpf at the caller's working precision.
     """
-    w = _weights(k)
-    h = [mp.mpf(0), seed]
+    fx = _Fixed()
+    c = k - 1
+    weights = [fx.of(ws * c ** s) for s, ws in enumerate(_weights(k))]
+    scales = [c ** s << fx.bits for s in range(len(weights))]
+    h = [0, fx.of(seed)]
     for n in range(2, N + 1):
-        acc = mp.mpf(0)
-        for s in range(1, min(delta_smax(n, k) + 1, len(w))):
-            num = math.comb(1 + (n - s) * (k - 1), s)
-            acc += w[s] * mp.mpf(num) / math.comb(n, s) * h[n - s]
+        acc = 0
+        for s in range(1, min(delta_smax(n, k) + 1, len(weights))):
+            num = weights[s] * h[n - s] * math.comb(1 + (n - s) * c, s)
+            acc += num // (math.comb(n, s) * scales[s])
         h.append(acc)
-    return h
+    return [fx.to_mpf(v) for v in h]
 
 
 def scaled_h_recurrence(
@@ -559,23 +597,23 @@ def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
 def _w_prime(a: ScaledSequence):
     """w'(t) = 2 (ln 2)^2 t + sum_{n>=4} n a_n t^{n-1} as a function of w = 1 - t.
 
-    The coefficients are converted once to Python ints with ``mp.prec + 64``
-    fractional bits; each evaluation is Horner's rule on those ints at
-    t = 1 - w, formed exactly in fixed point, and rounds once to an mpf.
-    Runs at the caller's working precision.
+    The coefficients are converted once to ``_Fixed`` integers; each
+    evaluation is Horner's rule on those ints at t = 1 - w, formed exactly
+    in fixed point, and rounds once to an mpf.  Runs at the caller's
+    working precision.
     """
-    bits = mp.mp.prec + 64
-    one = 1 << bits
+    fx = _Fixed()
+    one = 1 << fx.bits
     # coefficient of t^j, highest degree first: j = N-1, ..., 3 from a, then t^2, t^1, t^0
-    coeffs = [to_fixed((n * a[n])._mpf_, bits) for n in range(a.max_index, 3, -1)]
-    coeffs += [0, to_fixed((2 * mp.ln(2) ** 2)._mpf_, bits), 0]
+    coeffs = [fx.of(n * a[n]) for n in range(a.max_index, 3, -1)]
+    coeffs += [0, fx.of(2 * mp.ln(2) ** 2), 0]
 
     def w_prime(w: mp.mpf) -> mp.mpf:
-        t = one - to_fixed(w._mpf_, bits)
+        t = one - fx.of(w)
         acc = 0
         for c in coeffs:
-            acc = (acc * t >> bits) + c
-        return mp.mpf((acc, -bits))
+            acc = (acc * t >> fx.bits) + c
+        return fx.to_mpf(acc)
 
     return w_prime
 
@@ -606,7 +644,10 @@ def estimate_eta_integral(
     precision = a.precision if precision is None else precision
     N = a.max_index
     if N < ETA_INTEGRAL_MIN_N:
-        raise ValueError("correction sequence too short (need a few hundred terms)")
+        raise ValueError(
+            f"the integral route needs the correction sequence up to n >= "
+            f"{ETA_INTEGRAL_MIN_N}, got {N}"
+        )
     with mp.workdps(precision.dps):
         ln2 = mp.ln(2)
         omega = 1 - ln2

@@ -63,12 +63,67 @@ Slot = Union[None, _Bullet, "Node"]
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _occupancy(slots: tuple[Slot, ...]) -> tuple[int, ...]:
+    """Slot kinds in order: 0 empty, 1 bullet, 2 child node."""
+    return tuple(2 if isinstance(x, Node) else 1 if x is BULLET else 0 for x in slots)
+
+
+@dataclass(frozen=True, eq=False)
 class Node:
-    """A labeled node with a fixed tuple of positional child slots."""
+    """A labeled node with a fixed tuple of positional child slots.
+
+    Two nodes are equal when their subtrees give the same preorder stream
+    of (label, slot occupancy) pairs.  ``==``, ``hash`` and ``repr`` walk
+    the subtree with an explicit stack, so a deep chain needs no
+    recursion; the hash is computed on first use and kept.
+    """
 
     label: int
     slots: tuple[Slot, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if x.label != y.label or _occupancy(x.slots) != _occupancy(y.slots):
+                return False
+            stack.extend((a, b) for a, b in zip(x.slots, y.slots) if isinstance(a, Node))
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        h = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            h = hash((h, node.label, _occupancy(node.slots)))
+            stack.extend(x for x in reversed(node.slots) if isinstance(x, Node))
+        return h
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[Union[str, Slot]] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Node):
+                parts.append(f"Node(label={item.label!r}, slots=(")
+                stack.append(",))" if len(item.slots) == 1 else "))")
+                for i in range(len(item.slots) - 1, -1, -1):
+                    stack.append(item.slots[i])
+                    if i:
+                        stack.append(", ")
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -246,12 +246,55 @@ def _scaled_h_per_index(k, N, seed):
     return h
 
 
+def _max_rel_error(values, k, N, digits):
+    """Largest |v_n / h_n - 1| over n = 1..N against the mpf loop run 40 digits higher."""
+    with mp.workdps(Precision(digits + 40).dps):
+        finer = _scaled_h_per_index(k, N, mp.ln(2) / (k - 1))
+        return max(abs(v / x - 1) for v, x in zip(values[1:], finer[1:]))
+
+
 @pytest.mark.parametrize("digits", [15, 30])
 @pytest.mark.parametrize("k", [2, 3, 13])
 def test_scaled_h_matches_the_per_index_loop(k, digits):
+    # the fixed-point kernel rounds differently from the mpf loop, so the
+    # two agree at D digits and both sit far inside the D-digit ulp
     with mp.workdps(Precision(digits).dps):
         seed = mp.ln(2) / (k - 1)
-        assert asy._scaled_h(k, 400, seed) == _scaled_h_per_index(k, 400, seed)
+        fast = asy._scaled_h(k, 400, seed)
+        slow = _scaled_h_per_index(k, 400, seed)
+    assert len(fast) == len(slow) == 401
+    assert [mp.nstr(v, digits) for v in fast] == [mp.nstr(v, digits) for v in slow]
+    assert _max_rel_error(fast, k, 400, digits) <= mp.mpf(10) ** -(digits + 12)
+
+
+@pytest.mark.parametrize("k", [13, 49])
+def test_scaled_h_keeps_the_relative_precision_of_small_weights(k):
+    # w[s] = (ln 2/(k-1))^s / s! falls like (k-1)^-s while delta_{n,s} can
+    # reach (k-1)^s: a fixed-point w[s] loses digits that the product needs
+    digits = 30
+    with mp.workdps(Precision(digits).dps):
+        fast = asy._scaled_h(k, 1000, mp.ln(2) / (k - 1))
+    assert _max_rel_error(fast, k, 1000, digits) <= mp.mpf(10) ** -(digits + 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_h_reference(k, digits):
+    with mp.workdps(Precision(digits).dps):
+        return _scaled_h_per_index(k, 600, mp.ln(2) / (k - 1))
+
+
+# k and N are capped (N <= 600, four arities) to keep the mpf reference cheap
+@pytest.mark.parametrize("digits", [15, 30])
+@given(k=st.sampled_from([2, 3, 13, 49]), N=st.integers(1, 600))
+@settings(max_examples=12, deadline=None)
+def test_fixed_point_scaled_h_agrees_with_the_mpf_loop(digits, k, N):
+    p = Precision(digits)
+    reference = _scaled_h_reference(k, digits)
+    with mp.workdps(p.dps):
+        fast = asy._scaled_h(k, N, mp.ln(2) / (k - 1))
+        assert len(fast) == N + 1
+        for n, (v, x) in enumerate(zip(fast, reference)):
+            assert abs(v - x) <= p.tolerance() * x, n
 
 
 def test_gamma_is_binary_delta():
@@ -405,6 +448,43 @@ def _correction_sequence(digits):
     return correction_a(400, scaled_b_recurrence(400, p))
 
 
+def _correction_a_mpf(N, b):
+    """Reference: the mpf correction sequence with an exact-rational bracket."""
+    w = asy._weights(2)
+    a = [mp.mpf(0)] * (N + 1)
+    for n in range(3, N + 1):
+        acc = mp.mpf(0)
+        for l in range(1, min(n // 2 + 1, len(w))):
+            bracket = gamma_exact(n, l) - 1 + Fraction(l * (l - 1), n)
+            acc += w[l] * (mp.mpf(bracket.numerator) / bracket.denominator) * b[n - l]
+        for l in range(n // 2 + 1, min(n - 1, len(w))):
+            acc -= w[l] * (1 - mp.mpf(l * (l - 1)) / n) * b[n - l]
+        a[n] = acc
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_reference(digits):
+    p = Precision(digits)
+    b = scaled_b_recurrence(600, p)
+    with mp.workdps(p.dps):
+        return b, _correction_a_mpf(600, b)
+
+
+# N is capped at 600 to keep the mpf reference cheap
+@pytest.mark.parametrize("digits", [15, 30])
+@given(N=st.integers(3, 600))
+@settings(max_examples=12, deadline=None)
+def test_fixed_point_correction_a_agrees_with_the_mpf_loop(digits, N):
+    b, reference = _correction_reference(digits)
+    p = b.precision
+    a = correction_a(N, b)
+    assert a.max_index == N
+    with mp.workdps(p.dps):
+        for n, (v, x) in enumerate(zip(a.values, reference)):
+            assert abs(v - x) <= p.tolerance() * abs(x), n
+
+
 @pytest.mark.parametrize("digits", [15, 30])
 @given(w=unit_w)
 @example(w=0.0)
@@ -433,9 +513,20 @@ def test_eta_integral_route_agrees(bseq1200, aseq1200):
     assert est_int.error < mp.mpf("0.01")
 
 
-def test_eta_integral_rejects_short_sequences(bseq1200):
-    a = correction_a(120, bseq1200)
+def test_eta_integral_rejects_short_sequences():
+    # long enough for the size floor, but a_n ~ n^-2 decays too slowly for
+    # its truncation tail to meet the target accuracy
+    p = Precision(15)
+    with mp.workdps(p.dps):
+        values = tuple(mp.mpf(n) ** -2 if n >= 3 else mp.mpf(0) for n in range(301))
+    a = asy.ScaledSequence("a", 2, values, p)
     with pytest.raises(RuntimeError, match="extend the sequence"):
+        estimate_eta_integral(a, p)
+
+
+def test_eta_integral_names_its_size_floor(bseq1200):
+    a = correction_a(120, bseq1200)
+    with pytest.raises(ValueError, match=r"needs the correction sequence up to n >= 200, got 120$"):
         estimate_eta_integral(a, Precision(15))
 
 

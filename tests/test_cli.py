@@ -313,9 +313,10 @@ def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, messa
 @pytest.mark.parametrize(
     "argv, message",
     [(["eta", "--N", "999"], "estimate eta needs --N >= 1000, got 999"),
-     (["eta", "--method", "integral", "--N", "99"], "estimate eta needs --N >= 100, got 99"),
+     (["eta", "--method", "integral", "--N", "99"], "estimate eta needs --N >= 200, got 99"),
      (["exponent", "--k", "3", "--N", "1999"], "estimate exponent needs --N >= 2000, got 1999"),
-     (["alpha", "--k", "3", "--N", "99"], "estimate alpha needs --N >= 100, got 99")],
+     (["alpha", "--k", "3", "--N", "99"], "estimate alpha needs --N >= 100, got 99"),
+     (["eta", "--method", "integral", "--N", "150"], "estimate eta needs --N >= 200, got 150")],
 )
 def test_estimate_checks_the_size_before_building(monkeypatch, capsys, argv, message):
     from witrees import asymptotics, cli, exact

@@ -233,6 +233,24 @@ def test_encoding_injective_exhaustive_small():
         assert len({canonical_encoding(t) for t in trees}) == count
 
 
+def test_node_equality_hash_and_repr_follow_the_structure():
+    from witrees.sampler import enumerate_all
+
+    trees = enumerate_all(2, 5)
+    copies = [decode_encoding(canonical_encoding(t)) for t in trees]
+    for i, t in enumerate(trees):
+        assert [t.root == u.root for u in copies] == [i == j for j in range(len(copies))]
+        assert hash(t.root) == hash(copies[i].root)
+    assert len({t.root for t in trees}) == len(trees)
+    assert Node(1, (None, None)) != Node(1, (BULLET, BULLET))
+    assert Node(1, (None, None)) != Node(1, (None, None, None))
+    assert Node(1, (None,)) != "Node(1, (None,))"
+    assert repr(Node(1, (Node(2, (BULLET, None)), BULLET))) == (
+        "Node(label=1, slots=(Node(label=2, slots=(BULLET, None)), BULLET))"
+    )
+    assert repr(Node(3, (None,))) == "Node(label=3, slots=(None,))"
+
+
 def test_decode_rejects_garbage():
     t = root_tree(2)
     enc = canonical_encoding(t)
@@ -265,6 +283,13 @@ def test_deep_chain_round_trips_without_recursion():
     assert canonical_encoding(complete(LabeledTree(t.root), 2)) == data
     grown = evolution_step(t, [leaves[0]], 3001)
     assert grown.size == 3002 and grown.max_label == 3001
+    u = decode_encoding(data)
+    assert u.root is not t.root and u.root == t.root and u == t
+    assert grown.root != t.root
+    assert hash(u.root) == hash(t.root) and hash(u) == hash(t)
+    text = repr(t.root)
+    assert text.startswith("Node(label=1, slots=(Node(label=2, slots=(")
+    assert text.count("Node(") == 3000 and text.endswith(", BULLET))" * 3000)
 
 
 def test_decode_rejects_child_labelled_like_parent():
