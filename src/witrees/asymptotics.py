@@ -69,7 +69,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -137,11 +136,10 @@ class ScaledSequence:
             raise ValueError(f"index {n} outside computed range 0..{self.max_index}")
         return self.values[n]
 
-    def csv_rows(self, digits: Optional[int] = None):
-        """Yield 'n,value' rows at full working precision."""
-        d = digits if digits is not None else self.precision.digits
+    def csv_rows(self):
+        """Yield 'n,value' rows at the sequence's own precision."""
         for n, v in enumerate(self.values):
-            yield f"{n},{mp.nstr(v, d)}"
+            yield f"{n},{mp.nstr(v, self.precision.digits)}"
 
 
 @dataclass(frozen=True)
@@ -441,13 +439,11 @@ def _neville_at_zero(xs, ys):
     return ys[0]
 
 
-def estimate_alpha(
-    table, precision: Precision = Precision(), window: int = 6
-) -> AsymptoticEstimate:
+def estimate_alpha(table, precision: Precision = Precision()) -> AsymptoticEstimate:
     """Accelerated ratio estimate of the exponential growth factor.
 
     The raw ratio V_n / (n V_{n-1}) converges like alpha (1 - c/n); the last
-    ``window`` ratios are evaluated in the log domain and extrapolated to
+    six ratios are evaluated in the log domain and extrapolated to
     n = infinity by polynomial extrapolation in 1/n.  The error bar is the
     change from dropping the oldest point.  Converges to 1/ln 2 on a binary
     table and to (k-1)/ln 2 on a k-ary H-table.
@@ -458,7 +454,7 @@ def estimate_alpha(
             f"ratio estimation needs a table up to at least {ALPHA_MIN_N}, got {N}"
         )
     with mp.workdps(precision.dps):
-        ns = list(range(N - window + 1, N + 1))
+        ns = list(range(N - 5, N + 1))
         ratios = [
             mp.exp(
                 mp.log(mp.mpf(table.entry(n)))
@@ -482,20 +478,17 @@ def eta_refined(b: ScaledSequence, n: int) -> mp.mpf:
         return b[n] * mp.mpf(n) ** ln2 / (1 + ln2 / (2 * n))
 
 
-def estimate_eta_extrapolation(
-    b: ScaledSequence, N: Optional[int] = None
-) -> AsymptoticEstimate:
+def estimate_eta_extrapolation(b: ScaledSequence) -> AsymptoticEstimate:
     """Limit constant of b_n n^{ln 2} by order-2 extrapolation.
 
     After dividing out the first-order correction the residual is O(n^-2);
     degree-2 polynomial extrapolation in 1/n over n = N/4, N/2, N removes
-    it to O(n^-3).  The error bar is the distance to the order-1 result.
+    it to O(n^-3), with N the last index of ``b``.  The error bar is the
+    distance to the order-1 result.
     """
     if b.kind != "b":
         raise ValueError("eta is estimated from a kind-'b' sequence")
-    N = b.max_index if N is None else N
-    if N > b.max_index:
-        raise ValueError(f"b covers only 0..{b.max_index}, need {N}")
+    N = b.max_index
     if N < ETA_EXTRAPOLATION_MIN_N:
         raise ValueError(f"eta extrapolation needs N >= {ETA_EXTRAPOLATION_MIN_N}")
     with mp.workdps(b.precision.dps):
@@ -626,22 +619,21 @@ def asymptotic_prefactor(precision: Precision = Precision()) -> mp.mpf:
         return mp.exp(mp.pi ** 2 / 12) * alpha ** (1 - ln2) / mp.power(2, 1 - ln2 / 2)
 
 
-def estimate_eta_integral(
-    a: ScaledSequence, precision: Optional[Precision] = None
-) -> AsymptoticEstimate:
+def estimate_eta_integral(a: ScaledSequence) -> AsymptoticEstimate:
     """eta through the ODE route: quadrature against the correction series.
 
     Evaluates beta = prefactor * Int_0^1 w'(t) / ((2 - 2^t) g(t)) dt with
     w'(t) = 2 (ln 2)^2 t + sum_{n>=4} n a_n t^{n-1} and returns
-    eta = beta / Gamma(1 - ln 2).  The series is truncated at the length of
-    ``a``; the truncation error is bounded through the fitted envelope
-    |a_n| <= C n^{-2-ln 2} and folded into the error bar.  Raises when the
+    eta = beta / Gamma(1 - ln 2), at the precision of ``a``.  The series is
+    truncated at the length of ``a``; the truncation error is bounded
+    through the fitted envelope |a_n| <= C n^{-2-ln 2} and folded into the
+    error bar.  Raises when the
     supplied correction sequence is too short for a sub-percent bound, or
     when the quadrature does not converge.
     """
     if a.kind != "a":
         raise ValueError("the integral route consumes a correction sequence")
-    precision = a.precision if precision is None else precision
+    precision = a.precision
     N = a.max_index
     if N < ETA_INTEGRAL_MIN_N:
         raise ValueError(
@@ -722,9 +714,7 @@ def estimate_kary_prefactor(h: ScaledSequence) -> AsymptoticEstimate:
         )
 
 
-def estimate_kary_exponent(
-    h: ScaledSequence, k: Optional[int] = None
-) -> AsymptoticEstimate:
+def estimate_kary_exponent(h: ScaledSequence) -> AsymptoticEstimate:
     """Decay exponent of h_n from dyadic slopes log2(h_{2n} / h_n).
 
     Slopes at n = N/8, N/4, N/2 are extrapolated to n = infinity in 1/n;
@@ -732,7 +722,6 @@ def estimate_kary_exponent(
     """
     if h.kind != "h":
         raise ValueError("the exponent is estimated from a kind-'h' sequence")
-    k = h.k if k is None else k
     N = h.max_index
     if N < EXPONENT_MIN_N:
         raise ValueError(f"exponent estimation needs the sequence up to n >= {EXPONENT_MIN_N}")
@@ -743,6 +732,6 @@ def estimate_kary_exponent(
         ys = [mp.log(h[2 * p] / h[p]) / ln2 for p in pts]
         fitted = _neville_at_zero(xs, ys)
         return AsymptoticEstimate(
-            "exponent", fitted, abs(fitted - ys[-1]), "slope-fit", N, k,
+            "exponent", fitted, abs(fitted - ys[-1]), "slope-fit", N, h.k,
             h.precision.digits,
         )

@@ -9,6 +9,7 @@ success and nonzero with a one-line message on failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -47,6 +48,80 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 # --------------------------------------------------------------------------
+# size limits
+# --------------------------------------------------------------------------
+
+#: Largest estimated footprint a command may build, in bits (1 GiB).  A size
+#: beyond it is refused before anything is allocated, with an error that
+#: names the flag and the largest size that fits.
+MAX_BUILD_BITS = 2**33
+
+#: Bits held per slot of an enumerated tree (measured: about 900).
+TREE_SLOT_BITS = 1024
+
+
+def _h_index(k: int, n: int) -> int:
+    """H-index of the largest size up to n: arity-k trees have sizes 1 + (k-1)m."""
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    return max(0, (n - 1) // (k - 1))
+
+
+def _table_bits(k: int, M: int) -> float:
+    """Exact table H_0..H_M: about M^2 log2(M (k-1)) / 2 bits."""
+    M = max(M, 0)
+    return M * M * math.log2(max(2, M * (k - 1))) / 2
+
+
+def _cubic_bits(k: int, M: int) -> float:
+    """About M rows of a table: the label-stratified table, the series
+    route's binomials and the sampler's expansion weights."""
+    return 2 * max(M, 0) * _table_bits(k, M) / 3
+
+
+def _brute_bits(k: int, n: int) -> int:
+    """Every tree up to size n, held at once by the exhaustive route."""
+    M = min(_h_index(k, n), 64)  # 64 labels are far beyond any enumeration
+    return exact._h_counts(k, max(M, 1))[-1] * n * TREE_SLOT_BITS
+
+
+def _sequence_bits(N: int, digits: int) -> float:
+    """A scaled sequence up to N: N + 1 values and at most digits + 25
+    weights, about digits + 315 bytes each (measured: 295 at D = 30)."""
+    return 8 * (N + digits + 26) * (digits + 315)
+
+
+def _check_size(flag: str, value: int, bits) -> None:
+    """Refuse ``value`` of ``flag`` when ``bits(value)`` exceeds MAX_BUILD_BITS."""
+
+    def fits(v: int) -> bool:
+        try:
+            return bits(v) <= MAX_BUILD_BITS
+        except OverflowError:  # too large for a float estimate
+            return False
+
+    if fits(value):
+        return
+    lo, hi = 0, 1  # footprints grow with the size: the largest fit is in [lo, hi)
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    raise ValueError(
+        f"{flag} {value} is too large: at most {lo} fits the "
+        f"{MAX_BUILD_BITS >> 33} GiB build limit"
+    )
+
+
+def _check_sequences(flag: str, N: int, digits: int, count: int = 1) -> None:
+    """Refuse ``count`` sequences up to N: the precision on its own, then N
+    at that precision."""
+    _check_size("--digits", digits, lambda d: count * _sequence_bits(0, d))
+    _check_size(flag, N, lambda n: count * _sequence_bits(n, digits))
+
+
+# --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
@@ -58,14 +133,18 @@ def cmd_count(args) -> int:
     bound = args.upto if args.upto is not None else args.n
     if bound < 0:
         raise ValueError(f"size must be nonnegative, got {bound}")
+    flag = "--n" if args.upto is None else "--upto"
     if args.route == "funceq":
         if k != 2:
             raise ValueError("the functional-equation route is binary only")
+        _check_size(flag, bound, lambda n: _cubic_bits(2, n))
         table = exact.count_binary_funceq(max(bound, 2))
         get = table.g
     elif args.route == "brute":
+        _check_size(flag, bound, lambda n: _brute_bits(k, n))
         get = lambda n: exact.brute_force_count(k, n)  # noqa: E731
     else:
+        _check_size(flag, bound, lambda n: _table_bits(k, _h_index(k, n)))
         get = exact.count_upto_size(k, bound).g
 
     if args.upto is None:
@@ -86,6 +165,8 @@ def cmd_table(args) -> int:
     kind = args.kind or ("B" if args.k == 2 else "H")
     if kind != "H" and args.k != 2:
         raise ValueError(f"kind {kind} tables are binary; use --k 2 or --kind H")
+    footprint = _cubic_bits if kind == "Bmn" else _table_bits
+    _check_size("--upto", args.upto, lambda M: footprint(args.k, M))
     table = _build_table(args.k, kind, args.upto)
     out = args.out
     if out is None:
@@ -99,6 +180,8 @@ def cmd_table(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
+    _check_size("--n", args.n, lambda n: _table_bits(args.k, _h_index(args.k, n))
+                + _cubic_bits(args.k, _h_index(args.k, n)) + n * TREE_SLOT_BITS)
     ctx = sampler.SamplerContext.create(args.k, args.n, args.seed)
     for i in range(args.count):
         t = sampler.sample_uniform(ctx, args.n)
@@ -116,6 +199,7 @@ def cmd_sample(args) -> int:
 def cmd_scaled(args) -> int:
     if args.kind != "h" and args.k != 2:
         raise ValueError(f"kind {args.kind} sequences are binary; use --k 2 or --kind h")
+    _check_sequences("--upto", args.upto, args.digits, 2 if args.kind == "a" else 1)
     p = asymptotics.Precision(args.digits)
     if args.kind == "b":
         seq = asymptotics.scaled_b_recurrence(args.upto, p)
@@ -130,44 +214,43 @@ def cmd_scaled(args) -> int:
     return 0
 
 
-_DEFAULT_N = {"alpha": 2000, "eta": 5000, "exponent": 4000}
-_VALID_METHODS = {
-    "alpha": ("ratio",),
-    "eta": ("extrapolation", "integral"),
-    "exponent": ("slope-fit",),
-}
-_MIN_N = {
-    "ratio": asymptotics.ALPHA_MIN_N,
-    "extrapolation": asymptotics.ETA_EXTRAPOLATION_MIN_N,
-    "integral": asymptotics.ETA_INTEGRAL_MIN_N,
-    "slope-fit": asymptotics.EXPONENT_MIN_N,
+#: per target: the default --N, then each method with its smallest --N;
+#: the first method is the default
+_ESTIMATES = {
+    "alpha": (2000, {"ratio": asymptotics.ALPHA_MIN_N}),
+    "eta": (5000, {"extrapolation": asymptotics.ETA_EXTRAPOLATION_MIN_N,
+                   "integral": asymptotics.ETA_INTEGRAL_MIN_N}),
+    "exponent": (4000, {"slope-fit": asymptotics.EXPONENT_MIN_N}),
 }
 
 
 def cmd_estimate(args) -> int:
     target = args.target
-    method = args.method or _VALID_METHODS[target][0]
-    if method not in _VALID_METHODS[target]:
+    default_N, methods = _ESTIMATES[target]
+    method = args.method or next(iter(methods))
+    if method not in methods:
         raise ValueError(f"method {method!r} is not valid for target {target!r}")
     if target == "eta" and args.k != 2:
         raise ValueError("eta is the binary constant; use --k 2, or estimate exponent for k >= 3")
     if target == "exponent" and args.k < 3:
         raise ValueError("exponent estimation needs --k >= 3")
-    N = _DEFAULT_N[target] if args.N is None else args.N
-    if N < _MIN_N[method]:
-        raise ValueError(f"estimate {target} needs --N >= {_MIN_N[method]}, got {N}")
+    N = default_N if args.N is None else args.N
+    if N < methods[method]:
+        raise ValueError(f"estimate {target} needs --N >= {methods[method]}, got {N}")
+    if target == "alpha":
+        _check_sequences("--N", 0, args.digits)
+        _check_size("--N", N, lambda M: _table_bits(args.k, M))
+    else:
+        _check_sequences("--N", N, args.digits, 2 if method == "integral" else 1)
     p = asymptotics.Precision(args.digits)
 
     if target == "alpha":
-        if args.k == 2:
-            table = exact.count_binary_upto(N)
-        else:
-            table = exact.count_kary_upto(args.k, N)
+        table = _build_table(args.k, "B" if args.k == 2 else "H", N)
         est = asymptotics.estimate_alpha(table, p)
     elif target == "eta":
         b = asymptotics.scaled_b_recurrence(N, p)
         if method == "extrapolation":
-            est = asymptotics.estimate_eta_extrapolation(b, N)
+            est = asymptotics.estimate_eta_extrapolation(b)
         else:
             print(
                 "note: integral route uses the interpreted reading f(t) = 1/g(t); "
@@ -176,7 +259,7 @@ def cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
             a = asymptotics.correction_a(N, b)
-            est = asymptotics.estimate_eta_integral(a, p)
+            est = asymptotics.estimate_eta_integral(a)
     else:
         h = asymptotics.scaled_h_recurrence(args.k, N, p)
         est = asymptotics.estimate_kary_exponent(h)
@@ -185,6 +268,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    _check_size("--digits", args.digits, lambda d: 3 * _sequence_bits(1000, d))
     p = asymptotics.Precision(args.digits)
     lines = []
     if args.which == "fig2":
@@ -218,6 +302,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    if args.upto < 0:
+        raise ValueError(f"--upto must be nonnegative, got {args.upto}")
+    _check_size("--upto", args.upto, lambda N: _table_bits(2, N))
     table = exact.count_binary_upto(max(args.upto, 2))
     if args.self_check:
         bfile = oeis.OeisBFile(

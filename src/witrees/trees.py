@@ -248,8 +248,11 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
                     f"label {slot.label} at {path + (i,)!r} does not exceed parent label {node.label}",
                 )
     m = max(labels)
-    if labels != set(range(1, m + 1)):
-        gap = min(set(range(1, m + 1)) - labels)
+    if len(labels) != m:
+        # the gap is at most len(labels) + 1: O(nodes), not O(m)
+        gap = 1
+        while gap in labels:
+            gap += 1
         witness = next(p for p, nd in iter_nodes(tree.root) if nd.label > gap)
         return ValidationResult(
             False, "label-gap", witness,
@@ -409,6 +412,7 @@ def _write_varint(out: bytearray, x: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    start = pos
     x = 0
     shift = 0
     while True:
@@ -418,6 +422,9 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         x |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if byte == 0 and shift:
+                # a zero final group adds nothing: _write_varint never emits it
+                raise ValueError(f"non-canonical encoding: overlong varint at byte {start}")
             return x, pos
         shift += 7
 

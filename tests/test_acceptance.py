@@ -45,7 +45,7 @@ def _b5000():
 
 
 def _eta_ext():
-    return _get("eta_ext", lambda: asy.estimate_eta_extrapolation(_b5000(), 5000))
+    return _get("eta_ext", lambda: asy.estimate_eta_extrapolation(_b5000()))
 
 
 def _ok(num: int, message: str) -> None:
@@ -186,8 +186,8 @@ def test_c05_eta_extrapolation():
 
 def test_c06_integral_route_cross_check():
     ext = _eta_ext()
-    a4000 = _get("a4000", lambda: asy.correction_a(4000, _b5000()))
-    est = asy.estimate_eta_integral(a4000, asy.Precision(15))
+    b4000 = asy.scaled_b_recurrence(4000, asy.Precision(15))
+    est = asy.estimate_eta_integral(asy.correction_a(4000, b4000))
     assert est.method == "integral"
     budget = max(mp.mpf("0.01") * ext.value, est.error + ext.error)
     assert abs(est.value - ext.value) <= budget

@@ -397,19 +397,19 @@ def test_alpha_refuses_short_tables():
 
 
 def test_eta_extrapolation(bseq1200):
-    est = estimate_eta_extrapolation(bseq1200, 1200)
+    est = estimate_eta_extrapolation(bseq1200)
     assert est.method == "extrapolation"
     assert abs(est.value - mp.mpf("0.647852")) <= 1e-3
     assert est.error <= 1e-6
 
 
-def test_eta_insufficient_range(bseq1200):
+def test_eta_insufficient_range(prec30):
     with pytest.raises(ValueError, match=">= 1000"):
-        estimate_eta_extrapolation(bseq1200, 800)
+        estimate_eta_extrapolation(scaled_b_recurrence(800, prec30))
 
 
 def test_second_order_residual_bounded(bseq1200):
-    est = estimate_eta_extrapolation(bseq1200, 1200)
+    est = estimate_eta_extrapolation(bseq1200)
     worst = max(
         asy.second_order_residual(bseq1200, est.value, n) for n in range(100, 1001)
     )
@@ -504,10 +504,10 @@ def test_fixed_point_w_prime_matches_the_mpf_horner_sum(digits, w):
         assert abs(asy._w_prime(a)(w) - reference) <= p.tolerance() * abs(reference)
 
 
-def test_eta_integral_route_agrees(bseq1200, aseq1200):
+def test_eta_integral_route_agrees(bseq1200):
     p = Precision(15)  # quadrature tolerance far below the 1% target
-    est_int = estimate_eta_integral(aseq1200, p)
-    est_ext = estimate_eta_extrapolation(bseq1200, 1200)
+    est_int = estimate_eta_integral(correction_a(1200, scaled_b_recurrence(1200, p)))
+    est_ext = estimate_eta_extrapolation(bseq1200)
     assert est_int.method == "integral"
     assert abs(est_int.value - est_ext.value) <= mp.mpf("0.01") * est_ext.value
     assert est_int.error < mp.mpf("0.01")
@@ -521,13 +521,13 @@ def test_eta_integral_rejects_short_sequences():
         values = tuple(mp.mpf(n) ** -2 if n >= 3 else mp.mpf(0) for n in range(301))
     a = asy.ScaledSequence("a", 2, values, p)
     with pytest.raises(RuntimeError, match="extend the sequence"):
-        estimate_eta_integral(a, p)
+        estimate_eta_integral(a)
 
 
 def test_eta_integral_names_its_size_floor(bseq1200):
     a = correction_a(120, bseq1200)
     with pytest.raises(ValueError, match=r"needs the correction sequence up to n >= 200, got 120$"):
-        estimate_eta_integral(a, Precision(15))
+        estimate_eta_integral(a)
 
 
 def test_kary_exponent(hseq3_2000):

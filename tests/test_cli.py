@@ -248,6 +248,13 @@ def test_count_rejects_negative_sizes(capsys, route, k, flag, value):
     assert err == f"witrees: error: size must be nonnegative, got {value}\n"
 
 
+def test_oeis_check_rejects_a_negative_bound(capsys):
+    from witrees import cli
+
+    assert cli.main(["oeis-check", "--self", "--upto", "-3"]) == 1
+    assert capsys.readouterr().err == "witrees: error: --upto must be nonnegative, got -3\n"
+
+
 @pytest.mark.parametrize("kind", ["B", "Bmn"])
 def test_table_binary_kinds_reject_other_arities(tmp_path, capsys, kind):
     from witrees import cli
@@ -304,7 +311,8 @@ def test_estimate_zero_size_is_an_error_not_the_default(capsys, target, k, messa
     assert cli.main(["estimate", target, "--k", str(k), "--N", "0"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    least = cli._MIN_N[cli._VALID_METHODS[target][0]]
+    least = {"alpha": asymptotics.ALPHA_MIN_N, "eta": asymptotics.ETA_EXTRAPOLATION_MIN_N,
+             "exponent": asymptotics.EXPONENT_MIN_N}[target]
     assert err == f"witrees: error: estimate {target} needs --N >= {least}, got 0\n"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         builders[target, k]()
@@ -348,3 +356,68 @@ def test_main_keeps_the_callers_digit_limit(capsys):
         assert capsys.readouterr().out == expected  # B_300 has 658 digits
     finally:
         sys.set_int_max_str_digits(before)
+
+
+class _Built(Exception):
+    """Raised by a monkeypatched builder: the size got past the guard."""
+
+
+@pytest.mark.parametrize(
+    "argv, flag, needed",
+    [(["count", "--n", "{}"], "--n", 2000),
+     (["count", "--upto", "{}"], "--upto", 2000),
+     (["count", "--k", "3", "--upto", "{}"], "--upto", 1600),
+     (["count", "--route", "funceq", "--upto", "{}"], "--upto", 300),
+     (["count", "--route", "brute", "--n", "{}"], "--n", 9),
+     (["count", "--route", "brute", "--k", "3", "--upto", "{}"], "--upto", 9),
+     (["sample", "--n", "{}"], "--n", 800),
+     (["sample", "--k", "3", "--n", "{}"], "--n", 800),
+     (["table", "--upto", "{}"], "--upto", 2000),
+     (["table", "--k", "3", "--upto", "{}"], "--upto", 2000),
+     (["table", "--kind", "Bmn", "--upto", "{}"], "--upto", 60),
+     (["oeis-check", "--self", "--upto", "{}"], "--upto", 50),
+     (["scaled", "--upto", "{}"], "--upto", 10000),
+     (["scaled", "--kind", "a", "--upto", "{}"], "--upto", 4000),
+     (["scaled", "--upto", "0", "--digits", "{}"], "--digits", 70),
+     (["estimate", "alpha", "--N", "{}"], "--N", 2000),
+     (["estimate", "eta", "--N", "{}"], "--N", 10000),
+     (["estimate", "eta", "--method", "integral", "--N", "{}"], "--N", 4000),
+     (["estimate", "exponent", "--k", "3", "--N", "{}"], "--N", 5000),
+     (["estimate", "alpha", "--digits", "{}"], "--digits", 70),
+     (["figure", "fig3", "--out", "F", "--digits", "{}"], "--digits", 70)],
+)
+def test_size_limits_are_checked_before_building(monkeypatch, capsys, argv, flag, needed):
+    # The builders raise, so a size that passes its guard ends in
+    # "error: _Built" without allocating anything; the refusal names the flag
+    # and the largest size that fits, which covers every size the tests,
+    # the README and the benchmark use (`needed`).
+    from witrees import asymptotics, cli, exact, sampler
+
+    def built(*args, **kwargs):
+        raise _Built
+
+    for name in ("count_binary_upto", "count_kary_upto", "count_upto_size",
+                 "count_binary_funceq", "count_by_max_label", "brute_force_count"):
+        monkeypatch.setattr(exact, name, built)
+    for name in ("scaled_b_recurrence", "scaled_h_recurrence", "correction_a"):
+        monkeypatch.setattr(asymptotics, name, built)
+    monkeypatch.setattr(sampler.SamplerContext, "create", built)
+
+    def run(value):
+        assert cli.main([a.format(value) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    match = re.fullmatch(
+        rf"witrees: error: {flag} {10**30} is too large: at most (\d+) fits the 1 GiB build limit\n",
+        run(10**30),
+    )
+    assert match, flag
+    limit = int(match.group(1))
+    assert limit >= needed
+    assert run(limit) == "witrees: error: _Built\n"
+    assert run(limit + 1) == (
+        f"witrees: error: {flag} {limit + 1} is too large: at most {limit} "
+        f"fits the 1 GiB build limit\n"
+    )

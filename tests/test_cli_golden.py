@@ -30,6 +30,8 @@ COMMANDS = [
     *(f"estimate eta --method integral --N 600 --digits {d}" for d in (15, 30)),
     "figure fig2 --out F",  # b_n at D = 30, N = 1000
     "figure fig3 --out F",  # h_n at D = 30, N = 1000, k = 3, 13, 49
+    "estimate eta --N 1000 --digits 15",
+    "estimate exponent --k 3 --N 2000 --digits 15",
 ]
 
 

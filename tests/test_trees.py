@@ -1,7 +1,9 @@
 import itertools
+import re
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witrees.trees import (
@@ -300,6 +302,58 @@ def test_decode_rejects_child_labelled_like_parent():
 def test_decode_rejects_lone_root_labelled_5():
     with pytest.raises(ValueError, match="not weakly increasing: label 1 is missing"):
         decode_encoding(binary_chain_encoding([5]))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [("02ffffffffffffffff7f00",  # one node labelled 2^63 - 1
+      "encoded tree is not weakly increasing: label 1 is missing although 9223372036854775807 occurs"),
+     ("02810000", "non-canonical encoding: overlong varint at byte 1"),  # label 1
+     ("82000100", "non-canonical encoding: overlong varint at byte 0")],  # arity 2
+)
+def test_decode_rejects_crafted_encodings_quickly(data, message):
+    # the first once allocated O(max label) in validate; the other two are
+    # overlong spellings of 020100, the lone root of arity 2
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        decode_encoding(bytes.fromhex(data))
+    assert time.perf_counter() - t0 < 0.1
+    assert canonical_encoding(decode_encoding(bytes.fromhex("020100"))) == bytes.fromhex("020100")
+
+
+@st.composite
+def mutated_encodings(draw):
+    """A canonical encoding with up to three bytes replaced, inserted or
+    deleted, or a byte's continuation bit set before an inserted zero (an
+    overlong varint when that byte ends one)."""
+    _, t = draw(evolution_histories())
+    data = bytearray(canonical_encoding(t))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("replace", "insert", "delete", "overlong")))
+        if op == "insert":
+            data.insert(i, draw(st.integers(0, 255)))
+        elif i < len(data):
+            if op == "replace":
+                data[i] = draw(st.integers(0, 255))
+            elif op == "delete":
+                del data[i]
+            else:
+                data[i] |= 0x80
+                data.insert(i + 1, 0)
+    return bytes(data[:64])
+
+
+@given(st.binary(max_size=64) | mutated_encodings())
+@example(bytes.fromhex("02810000"))
+@example(bytes.fromhex("82000100"))
+@settings(max_examples=300, deadline=None)
+def test_decoding_accepts_only_canonical_bytes(data):
+    try:
+        t = decode_encoding(data)
+    except ValueError:
+        return
+    assert canonical_encoding(t) == data
 
 
 # ---------------------------------------------------------------- rendering
