@@ -627,9 +627,8 @@ def estimate_eta_integral(a: ScaledSequence) -> AsymptoticEstimate:
     eta = beta / Gamma(1 - ln 2), at the precision of ``a``.  The series is
     truncated at the length of ``a``; the truncation error is bounded
     through the fitted envelope |a_n| <= C n^{-2-ln 2} and folded into the
-    error bar.  Raises when the
-    supplied correction sequence is too short for a sub-percent bound, or
-    when the quadrature does not converge.
+    error bar.  Raises when the supplied correction sequence is too short
+    for a sub-percent bound, or when the quadrature does not converge.
     """
     if a.kind != "a":
         raise ValueError("the integral route consumes a correction sequence")

@@ -85,6 +85,12 @@ def _brute_bits(k: int, n: int) -> int:
     return exact._h_counts(k, max(M, 1))[-1] * n * TREE_SLOT_BITS
 
 
+def _sample_bits(k: int, n: int) -> float:
+    """The sampler's table and expansion weights, and one tree of size n."""
+    M = _h_index(k, n)
+    return _table_bits(k, M) + _cubic_bits(k, M) + n * TREE_SLOT_BITS
+
+
 def _sequence_bits(N: int, digits: int) -> float:
     """A scaled sequence up to N: N + 1 values and at most digits + 25
     weights, about digits + 315 bytes each (measured: 295 at D = 30)."""
@@ -150,7 +156,8 @@ def cmd_count(args) -> int:
     if args.upto is None:
         print(get(args.n))
         return 0
-    rows = [(n, get(n)) for n in range(args.upto + 1)]
+    # streamed: with a large --k the table is tiny but --upto rows are not
+    rows = ((n, get(n)) for n in range(args.upto + 1))
     if args.format == "csv":
         print("n,count")
         for n, v in rows:
@@ -180,8 +187,7 @@ def cmd_table(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
-    _check_size("--n", args.n, lambda n: _table_bits(args.k, _h_index(args.k, n))
-                + _cubic_bits(args.k, _h_index(args.k, n)) + n * TREE_SLOT_BITS)
+    _check_size("--n", args.n, lambda n: _sample_bits(args.k, n))
     ctx = sampler.SamplerContext.create(args.k, args.n, args.seed)
     for i in range(args.count):
         t = sampler.sample_uniform(ctx, args.n)
@@ -238,7 +244,7 @@ def cmd_estimate(args) -> int:
     if N < methods[method]:
         raise ValueError(f"estimate {target} needs --N >= {methods[method]}, got {N}")
     if target == "alpha":
-        _check_sequences("--N", 0, args.digits)
+        _check_size("--digits", args.digits, lambda d: _sequence_bits(0, d))
         _check_size("--N", N, lambda M: _table_bits(args.k, M))
     else:
         _check_sequences("--N", N, args.digits, 2 if method == "integral" else 1)

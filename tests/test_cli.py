@@ -1,3 +1,4 @@
+import io
 import re
 import subprocess
 import sys
@@ -246,6 +247,23 @@ def test_count_rejects_negative_sizes(capsys, route, k, flag, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"witrees: error: size must be nonnegative, got {value}\n"
+
+
+def test_count_rows_are_streamed(monkeypatch):
+    # `count --k 10**12 --upto 10**12 | head` needs a two-entry table but
+    # 10**12 rows, so the rows are printed as they are computed
+    from witrees import cli
+
+    class Head(io.StringIO):
+        def write(self, text):
+            if self.getvalue().count("\n") >= 5:
+                raise BrokenPipeError
+            return super().write(text)
+
+    out = Head()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["count", "--k", str(10**12), "--upto", str(10**12)]) == 0
+    assert out.getvalue() == "0\t0\n1\t0\n2\t0\n3\t0\n4\t0\n"
 
 
 def test_oeis_check_rejects_a_negative_bound(capsys):

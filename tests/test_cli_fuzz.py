@@ -15,7 +15,7 @@ import os
 import re
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witrees import cli
@@ -132,7 +132,6 @@ def over_the_limits(argv):
 def test_every_command_line_exits_cleanly(workdir, data):
     argv = over_the_limits(data.draw(command_lines(workdir)))
     rc, out, err = run(argv)
-    event(f"{argv[0]} exit {rc}")
     assert "Traceback" not in err and "RecursionError" not in err, argv
     assert rc in (0, 1), argv
     if rc == 0:
