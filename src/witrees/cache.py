@@ -10,6 +10,11 @@ Indices are the table's own indexing (size for kind B, H-index for kind H,
 ``m,n`` pairs for kind Bmn) and must be strictly increasing; kind B/H files
 are additionally contiguous from 0.  Files are written atomically (temp
 file in the target directory, then rename).
+
+A load re-runs the size recurrence modulo the prime 2^61 - 1
+(:func:`witrees.exact.h_residues`): every B/H entry must match it, and every
+row of a Bmn table must sum to B_n.  A file that fails is refused with a
+:class:`CacheError` naming the first bad index; it is never returned.
 """
 
 from __future__ import annotations
@@ -19,13 +24,26 @@ import re
 import tempfile
 from typing import Union
 
-from .exact import CountTable, LabelStratifiedTable, ROUTE_RECURRENCE, unlimited_int_digits
+from .exact import (
+    CHECK_PRIME,
+    ROUTE_RECURRENCE,
+    CountTable,
+    LabelStratifiedTable,
+    h_residues,
+    unlimited_int_digits,
+)
 
 _HEADER_RE = re.compile(r"^# wit-cache v1 kind=(B|H|Bmn) k=(\d+)$")
 
 
 class CacheError(ValueError):
     """Malformed, mismatched or corrupt cache file."""
+
+
+def _first_bad(values: list[int], k: int) -> int | None:
+    """Index of the first of H_0..H_M that is not the recurrence value mod p."""
+    expected = h_residues(k, max(len(values) - 1, 1))
+    return next((m for m, v in enumerate(values) if v % CHECK_PRIME != expected[m]), None)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -62,10 +80,12 @@ def cache_load(
     expect_kind: str | None = None,
     expect_k: int | None = None,
 ) -> Union[CountTable, LabelStratifiedTable]:
-    """Read a table back; header and entry order are validated first.
+    """Read a table back and check it against the size recurrence.
 
-    ``expect_kind`` / ``expect_k`` guard against answering a request for
-    one table with a cache of another.
+    Header and entry order are validated first; then every value is checked
+    modulo 2^61 - 1 (see the module docstring).  ``expect_kind`` /
+    ``expect_k`` guard against answering a request for one table with a
+    cache of another.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -79,6 +99,8 @@ def cache_load(
         raise CacheError(f"{path}: cache holds kind={kind}, requested kind={expect_kind}")
     if expect_k is not None and k != expect_k:
         raise CacheError(f"{path}: cache holds k={k}, requested k={expect_k}")
+    if k < 2 or (kind != "H" and k != 2):
+        raise CacheError(f"{path}: arity k={k} does not fit kind={kind}")
 
     if kind == "Bmn":
         values: dict[tuple[int, int], int] = {}
@@ -92,11 +114,23 @@ def cache_load(
                 v = int(val)
             except ValueError:
                 raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}") from None
-            if v < 0 or (last is not None and key <= last):
+            if v < 0 or not 1 <= key[0] < key[1] or (last is not None and key <= last):
                 raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}")
             last = key
             values[key] = v
             bound = max(bound, key[1])
+        row_sums: dict[int, int] = {}
+        for (_, n), v in values.items():
+            row_sums[n] = row_sums.get(n, 0) + v
+        # rows 2..bound must all be present; stop at the first gap, so that a
+        # crafted n far beyond the file's length allocates nothing
+        gap = next((i for i, n in enumerate(sorted(row_sums), start=2) if n != i), bound + 1)
+        bad = _first_bad([row_sums.get(n, 0) for n in range(1, gap)], 2)  # B_n = H_{n-1}
+        if bad is None and gap <= bound:
+            bad = gap - 1
+        if bad is not None:
+            n = bad + 1
+            raise CacheError(f"{path}: row n={n} does not sum to B_{n} (checked modulo 2^61 - 1)")
         return LabelStratifiedTable(bound, values)
 
     entries: list[int] = []
@@ -110,6 +144,13 @@ def cache_load(
             raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}")
         entries.append(v)
     try:
-        return CountTable(k, kind, ROUTE_RECURRENCE, tuple(entries))
+        table = CountTable(k, kind, ROUTE_RECURRENCE, tuple(entries))
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from None
+    bad = _first_bad(entries[table.offset :], k)
+    if bad is not None:
+        raise CacheError(
+            f"{path}: index {bad + table.offset} does not match the size recurrence "
+            "(checked modulo 2^61 - 1)"
+        )
+    return table

@@ -26,6 +26,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import mul
 
 #: Refuse brute-force runs expected to produce more trees than this.
 DEFAULT_TREE_GUARD = 2_000_000
@@ -193,11 +194,21 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     return LabelStratifiedTable(N, values)
 
 
+#: The longest list H_0..H_M built so far, per arity k (see _h_counts).
+_H_MEMO: dict[int, list[int]] = {}
+
+
 def _h_counts(k: int, M: int) -> list[int]:
-    """H_0..H_M for arity k by the size recurrence (M >= 1)."""
-    H = [0] * (M + 1)
-    H[1] = 1
-    for m in range(2, M + 1):
+    """H_0..H_M for arity k by the size recurrence (M >= 1).
+
+    A request within the longest list built so far for k is a slice of it;
+    a longer one resumes the loop at the end of that list.  Entries are
+    appended one at a time, so an interrupted build (Ctrl-C, MemoryError)
+    leaves a valid prefix behind.  The package is single-threaded: the list
+    is shared, unlocked module state.
+    """
+    H = _H_MEMO.setdefault(k, [0, 1])
+    for m in range(len(H), M + 1):
         acc = 0
         c = 1 + (m - 1) * (k - 1)  # C(1+(m-1)(k-1), 1)
         for s in range(1, kary_smax(m, k) + 1):
@@ -205,8 +216,42 @@ def _h_counts(k: int, M: int) -> list[int]:
             # advance to C(a-(k-1), s+1) = C(a, s) (a-s)_k / ((s+1) (a)_{k-1})
             a = 1 + (m - s) * (k - 1)
             c = c * math.perm(a - s, k) // ((s + 1) * math.perm(a, k - 1))
-        H[m] = acc
-    return H
+        H.append(acc)
+    return H[: M + 1]
+
+
+#: The Mersenne prime 2^61 - 1, the modulus of :func:`h_residues`.
+CHECK_PRIME = (1 << 61) - 1
+
+
+def h_residues(k: int, M: int) -> list[int]:
+    """H_0..H_M modulo the prime p = CHECK_PRIME, by the size recurrence (M >= 1).
+
+    Written as a sum over j = m - s, H_m = sum_j C(a_j, m-j) H_j with
+    a_j = 1 + j(k-1), and C(a_j, s) = a_j (a_j - 1) ... (a_j - s + 1) / s!.
+    Column j keeps H_j times that falling factorial and gains one factor
+    per step of m, so memory and work are O(M) and O(M^2) whatever k.
+    """
+    p = CHECK_PRIME
+    inv_fact = [1] * (M + 1)
+    f = 1
+    for i in range(2, M + 1):
+        f = f * i % p
+    inv_fact[M] = pow(f, p - 2, p)
+    for i in range(M, 2, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    R = [0, 1]
+    col = [0] * (M + 1)
+    mod_p = p.__rmod__
+    for m in range(2, M + 1):
+        lo = m - kary_smax(m, k)  # columns j < lo no longer contribute
+        # column j: s = m - j, so a_j - s + 1 = jk + 2 - m
+        col[lo : m - 1] = map(
+            mod_p, map(mul, col[lo : m - 1], range(lo * k + 2 - m, (m - 1) * k + 2 - m, k))
+        )
+        col[m - 1] = (1 + (m - 1) * (k - 1)) * R[m - 1] % p
+        R.append(sum(map(mul, col[lo:m], inv_fact[m - lo : 0 : -1])) % p)
+    return R
 
 
 def count_kary_upto(k: int, M: int) -> CountTable:

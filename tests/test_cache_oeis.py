@@ -83,6 +83,72 @@ def test_corrupt_entries(tmp_path):
             cache_load(str(p))
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_clean_kary_tables_load_bit_identically(tmp_path, k):
+    tab = count_kary_upto(k, 80)
+    p = tmp_path / "h.txt"
+    cache_save(tab, str(p))
+    assert cache_load(str(p), expect_kind="H", expect_k=k).values == tab.values
+
+
+def test_one_digit_change_names_the_first_bad_index(tmp_path, capsys):
+    from witrees import cli
+
+    p = tmp_path / "h3.txt"
+    assert cli.main(["table", "--k", "3", "--upto", "8", "--out", str(p)]) == 0
+    capsys.readouterr()
+    text = p.read_text()
+    assert text.endswith("\n8\t9217809\n")
+    p.write_text(text.replace("8\t9217809", "8\t9217808"))
+    assert cli.main(["cache", "verify", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"witrees: error: {p}: index 8 does not match the size recurrence "
+        "(checked modulo 2^61 - 1)\n"
+    )
+
+
+def test_a_corrupt_binary_entry_is_refused_by_its_index(tmp_path, btab300):
+    p = tmp_path / "b.txt"
+    cache_save(btab300, str(p))
+    lines = p.read_text().splitlines(keepends=True)
+    for n in (3, 7, 150, 300):
+        bad = lines.copy()
+        bad[n + 1] = f"{n}\t{btab300.entry(n) + 1}\n"  # line 1 is the header
+        p.write_text("".join(bad))
+        with pytest.raises(CacheError, match=f"index {n} does not match"):
+            cache_load(str(p))
+
+
+def test_a_one_entry_edit_in_a_stratified_file_is_refused(tmp_path, bmn60):
+    p = tmp_path / "bmn.txt"
+    cache_save(bmn60, str(p))
+    text = p.read_text()
+    value = bmn60.values[(9, 30)]
+    edited = text.replace(f"\n9,30\t{value}\n", f"\n9,30\t{value - 1}\n")
+    assert edited != text
+    p.write_text(edited)
+    with pytest.raises(CacheError, match="row n=30 does not sum to B_30"):
+        cache_load(str(p))
+    p.write_text(text.replace("\n9,30\t", "\n30,30\t"))  # m must stay below n
+    with pytest.raises(CacheError, match="corrupt entry"):
+        cache_load(str(p))
+    # a missing row is refused where it is missing, however far the last row
+    p.write_text("# wit-cache v1 kind=Bmn k=2\n1,2\t1\n1,1000000000000\t1\n")
+    with pytest.raises(CacheError, match="row n=3 does not sum to B_3"):
+        cache_load(str(p))
+
+
+@pytest.mark.parametrize("header", ["kind=H k=1", "kind=H k=0", "kind=Bmn k=3"])
+def test_an_arity_the_kind_cannot_have_is_refused(tmp_path, header):
+    p = tmp_path / "h.txt"
+    body = "1,2\t1\n" if "Bmn" in header else "0\t0\n1\t1\n"
+    p.write_text(f"# wit-cache v1 {header}\n{body}")
+    with pytest.raises(CacheError, match="does not fit kind"):
+        cache_load(str(p))
+
+
 def test_save_is_atomic_overwrite(tmp_path, btab300):
     p = tmp_path / "b.txt"
     p.write_text("junk")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from witrees import exact
 from witrees.exact import (
@@ -139,6 +141,63 @@ def test_kary_spot_check_direct_sum(htab3_60):
             binom(1 + (m - s) * 2, s) * htab3_60.entry(m - s) for s in range(1, s_hi + 1)
         )
         assert direct == htab3_60.entry(m)
+
+
+def _fresh_h_counts(k, M):
+    """Reference: the size recurrence built from H_1, with no shared state."""
+    H = [0] * (M + 1)
+    H[1] = 1
+    for m in range(2, M + 1):
+        acc = 0
+        c = 1 + (m - 1) * (k - 1)
+        for s in range(1, m - (m + k - 2) // k + 1):  # not the spied kary_smax
+            acc += c * H[m - s]
+            a = 1 + (m - s) * (k - 1)
+            c = c * math.perm(a - s, k) // ((s + 1) * math.perm(a, k - 1))
+        H[m] = acc
+    return H
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 4)), st.integers(1, 120)),
+                min_size=1, max_size=6))
+def test_shared_builds_equal_fresh_builds(requests):
+    # whatever order the requests come in, each table is the one a build
+    # from H_1 gives
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_H_MEMO", {})
+        for k, M in requests:
+            assert count_kary_upto(k, M).values == tuple(_fresh_h_counts(k, M))
+            if k == 2 and M >= 2:
+                assert count_binary_upto(M).values == (0, *_fresh_h_counts(2, M - 1))
+
+
+def test_a_longer_request_resumes_where_the_last_build_ended(monkeypatch):
+    monkeypatch.setattr(exact, "_H_MEMO", {})
+    count_binary_upto(300)
+    calls = []
+    smax = exact.kary_smax
+
+    def spy(m, k):
+        calls.append(m)
+        return smax(m, k)
+
+    monkeypatch.setattr(exact, "kary_smax", spy)
+    assert count_binary_upto(200).values == (0, *_fresh_h_counts(2, 199))
+    assert calls == []
+    count_binary_upto(350)
+    assert calls == list(range(300, 350))
+
+
+def test_residues_follow_the_exact_recurrence():
+    p = exact.CHECK_PRIME
+    for k, M in ((2, 90), (3, 60), (5, 40)):
+        assert exact.h_residues(k, M) == [h % p for h in _fresh_h_counts(k, M)]
+    # an arity far beyond any factorial table: C(a, s) with a > p
+    k, H = 10**20, [0, 1]
+    for m in range(2, 13):
+        H.append(sum(binom(1 + (m - s) * (k - 1), s) * H[m - s] for s in range(1, m)))
+    assert exact.h_residues(k, 12) == [h % p for h in H]
 
 
 # ---------------------------------------------------------------- brute force
