@@ -73,11 +73,9 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-# largest admissible second index of delta_{n,s}: n - ceil((n-1)/k)
-from .exact import kary_smax as delta_smax
-
-#: Exponential growth factor of B_n / n! for binary trees, 1 / ln 2.
-ALPHA = 1.4426950408889634
+# the size recurrence's binomials C(1+(n-s)(k-1), s), and the largest
+# admissible second index of delta_{n,s}: n - ceil((n-1)/k)
+from .exact import _coefficients, kary_smax as delta_smax
 
 #: Number of Bernoulli terms in the log-gamma Stirling series (see README).
 _LOG_GAMMA_TERMS = 26
@@ -347,9 +345,10 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         (n C(n-l, l) - n C(n-1, l) + l(l-1) C(n-1, l)) / (n C(n-1, l)),
 
     so nothing cancels in rounding, and a_n itself decays like
-    n^{-2-ln 2}.  Both sums read the one truncated weight list of
-    ``_weights(2)`` and run on ``_Fixed`` integers (b converts to them
-    exactly); each a_n is rounded once to an mpf.
+    n^{-2-ln 2}.  C(n-l, l) is the k = 2 recurrence binomial at H-index
+    n - 1, read from ``exact._coefficients``.  Both sums read the one
+    truncated weight list of ``_weights(2)`` and run on ``_Fixed`` integers
+    (b converts to them exactly); each a_n is rounded once to an mpf.
     """
     if b.kind != "b":
         raise ValueError("correction_a expects a kind-'b' sequence")
@@ -363,9 +362,9 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         a = [0] * (N + 1)
         for n in range(3, N + 1):
             acc = 0
-            for l in range(1, min(n // 2 + 1, len(w))):
+            for l, g in _coefficients(2, n - 1, len(w)):  # g = C(n-l, l)
                 c = math.comb(n - 1, l)
-                num = n * (math.comb(n - l, l) - c) + l * (l - 1) * c
+                num = n * (g - c) + l * (l - 1) * c
                 acc += w[l] * bf[n - l] * num // (n * c << fx.bits)
             for l in range(n // 2 + 1, min(n - 1, len(w))):
                 acc -= w[l] * bf[n - l] * (n - l * (l - 1)) // (n << fx.bits)
@@ -396,6 +395,8 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     like (k-1)^-s), and (k-1)^s joins the integer denominator of each
     summand, W[s] h_{n-s} C(1+(n-s)(k-1), s) // (C(n, s) (k-1)^s).  Each
     value is rounded once to an mpf at the caller's working precision.
+    The binomials C(1+(n-s)(k-1), s) come from ``exact._coefficients``,
+    stopped at L.
     """
     fx = _Fixed()
     c = k - 1
@@ -404,9 +405,8 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     h = [0, fx.of(seed)]
     for n in range(2, N + 1):
         acc = 0
-        for s in range(1, min(delta_smax(n, k) + 1, len(weights))):
-            num = weights[s] * h[n - s] * math.comb(1 + (n - s) * c, s)
-            acc += num // (math.comb(n, s) * scales[s])
+        for s, b in _coefficients(k, n, len(weights)):
+            acc += weights[s] * h[n - s] * b // (math.comb(n, s) * scales[s])
         h.append(acc)
     return [fx.to_mpf(v) for v in h]
 

@@ -25,10 +25,6 @@ def _default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "witrees")
 
 
-def _fmt(x, digits: int) -> str:
-    return mp.nstr(x, digits)
-
-
 def _build_table(k: int, kind: str, upto: int):
     if kind == "B":
         return exact.count_binary_upto(upto)
@@ -282,11 +278,8 @@ def cmd_figure(args) -> int:
         lines.append("n,b_n,inv_sqrt_n,inv_n")
         with mp.workdps(p.dps):
             for n in range(25, 1001):
-                inv_sqrt = 1 / mp.sqrt(n)
-                inv = mp.mpf(1) / n
-                lines.append(
-                    f"{n},{_fmt(b[n], p.digits)},{_fmt(inv_sqrt, p.digits)},{_fmt(inv, p.digits)}"
-                )
+                row = (b[n], 1 / mp.sqrt(n), mp.mpf(1) / n)
+                lines.append(f"{n}," + ",".join(mp.nstr(x, p.digits) for x in row))
     else:
         ks = (3, 13, 49)
         seqs = {k: asymptotics.scaled_h_recurrence(k, 1000, p) for k in ks}
@@ -298,9 +291,9 @@ def cmd_figure(args) -> int:
             targets = {k: asymptotics.kary_exponent_target(k, p) for k in ks}
             prefs = {k: asymptotics.estimate_kary_prefactor(seqs[k]).value for k in ks}
             for n in range(25, 1001):
-                hs = ",".join(_fmt(seqs[k][n], p.digits) for k in ks)
+                hs = ",".join(mp.nstr(seqs[k][n], p.digits) for k in ks)
                 asym = ",".join(
-                    _fmt(prefs[k] * mp.mpf(n) ** targets[k], p.digits) for k in ks
+                    mp.nstr(prefs[k] * mp.mpf(n) ** targets[k], p.digits) for k in ks
                 )
                 lines.append(f"{n},{hs},{asym}")
     _write_lines(args.out, lines)

@@ -33,7 +33,6 @@ DEFAULT_TREE_GUARD = 2_000_000
 
 ROUTE_RECURRENCE = "recurrence"
 ROUTE_FUNCEQ = "functional-equation"
-ROUTE_BRUTE = "brute-force"
 
 
 class GuardExceeded(RuntimeError):
@@ -158,8 +157,7 @@ def count_binary_funceq(N: int, max_iterations: int | None = None) -> CountTable
     cur = [0] * (N + 1)
     for _ in range(budget):
         new = [0] * (N + 1)
-        if N >= 2:
-            new[2] = 1
+        new[2] = 1
         for n in range(3, N + 1):
             new[n] = sum(cur[p] * w for p, w in weights[n] if cur[p])
         if new == cur:
@@ -194,6 +192,25 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     return LabelStratifiedTable(N, values)
 
 
+def _coefficients(k: int, m: int, stop: int | None = None):
+    """Yield (s, C(1+(m-s)(k-1), s)) for s = 1..kary_smax(m, k), ending before ``stop``.
+
+    These are the binomials of the size recurrence at H-index m, stepped in
+    one place at O(min(s, k)) factors each: directly by math.comb while
+    s < k, then from the previous one by C(a, s) =
+    C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
+    """
+    last = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
+    a, c = 1 + (m - 1) * (k - 1), 0
+    for s in range(1, last + 1):
+        if s < k:
+            c = math.comb(a, s)
+        else:
+            c = c * math.perm(a + k - s, k) // (s * math.perm(a + k - 1, k - 1))
+        yield s, c
+        a -= k - 1
+
+
 #: The longest list H_0..H_M built so far, per arity k (see _h_counts).
 _H_MEMO: dict[int, list[int]] = {}
 
@@ -201,6 +218,8 @@ _H_MEMO: dict[int, list[int]] = {}
 def _h_counts(k: int, M: int) -> list[int]:
     """H_0..H_M for arity k by the size recurrence (M >= 1).
 
+    The binomials come from :func:`_coefficients`, so a term costs
+    O(min(s, k)) factors and a large arity builds as fast as a small one.
     A request within the longest list built so far for k is a slice of it;
     a longer one resumes the loop at the end of that list.  Entries are
     appended one at a time, so an interrupted build (Ctrl-C, MemoryError)
@@ -209,14 +228,7 @@ def _h_counts(k: int, M: int) -> list[int]:
     """
     H = _H_MEMO.setdefault(k, [0, 1])
     for m in range(len(H), M + 1):
-        acc = 0
-        c = 1 + (m - 1) * (k - 1)  # C(1+(m-1)(k-1), 1)
-        for s in range(1, kary_smax(m, k) + 1):
-            acc += c * H[m - s]
-            # advance to C(a-(k-1), s+1) = C(a, s) (a-s)_k / ((s+1) (a)_{k-1})
-            a = 1 + (m - s) * (k - 1)
-            c = c * math.perm(a - s, k) // ((s + 1) * math.perm(a, k - 1))
-        H.append(acc)
+        H.append(sum(c * H[m - s] for s, c in _coefficients(k, m)))
     return H[: M + 1]
 
 

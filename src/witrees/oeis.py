@@ -13,6 +13,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Optional
 
+from .cache import _atomic_write
 from .exact import unlimited_int_digits
 
 _ID_RE = re.compile(r"^A(\d{6,7})$")
@@ -79,13 +80,16 @@ def load_bfile(path: str, seq_id: str = "A000000") -> OeisBFile:
 
 
 def fetch_bfile(seq_id: str, dest_path: str, timeout: float = 30.0) -> str:
-    """Single HTTP GET of the b-file; the body is written to ``dest_path``."""
+    """Single HTTP GET of the b-file; the body is written to ``dest_path``.
+
+    The write is atomic: a failure leaves no file at ``dest_path``, never a
+    truncated b-file that a later check would read as the catalogue.
+    """
     url = bfile_url(seq_id)
     req = urllib.request.Request(url, headers={"User-Agent": "witrees/0.1"})
     with urllib.request.urlopen(req, timeout=timeout) as resp:
         body = resp.read().decode("utf-8", "replace")
-    with open(dest_path, "w") as fh:
-        fh.write(body)
+    _atomic_write(dest_path, body)
     return dest_path
 
 

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import exact
-from .exact import CountTable, GuardExceeded, binom
+from .exact import CountTable, GuardExceeded
 from .trees import (
     CompletedTree,
     GrowingTree,
@@ -122,19 +122,17 @@ def _expansion_weights(ctx: SamplerContext, m: int) -> list[tuple[int, int]]:
     """(s, weight) pairs for one step down from table index ``m``.
 
     With h = m - offset the H-index, expanding s leaves of a tree counted
-    at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s).  Weights
-    are exact integers summing to the table entry at ``m``; the sum is
-    asserted, which re-proves the recurrence at every visited index.
+    at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s), the
+    binomial read from the recurrence's one stepper,
+    ``exact._coefficients``.  Weights are exact integers summing to the
+    table entry at ``m``; the sum is asserted, which re-proves the
+    recurrence at every visited index.
     """
     cached = ctx._weights.get(m)
     if cached is not None:
         return cached
-    k = ctx.k
     h = m - ctx.table.offset
-    pairs = [
-        (s, binom(1 + (h - s) * (k - 1), s) * ctx.table.entry(m - s))
-        for s in range(1, exact.kary_smax(h, k) + 1)
-    ]
+    pairs = [(s, c * ctx.table.entry(m - s)) for s, c in exact._coefficients(ctx.k, h)]
     total = sum(w for _, w in pairs)
     if total != ctx.table.entry(m):
         raise AssertionError(f"expansion weights at index {m} do not sum to the count")

@@ -205,15 +205,18 @@ def test_bfile_url():
         bfile_url("171792")
 
 
+class FakeResponse(io.BytesIO):
+    """A canned ``urlopen`` response."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
 def test_fetch_writes_reported_file(tmp_path):
     body = "1 1\n2 2\n"
-
-    class FakeResponse(io.BytesIO):
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
     with mock.patch("urllib.request.urlopen", return_value=FakeResponse(body.encode())) as m:
         dest = tmp_path / "b171792.txt"
@@ -221,6 +224,16 @@ def test_fetch_writes_reported_file(tmp_path):
     assert out == str(dest)
     assert dest.read_text() == body
     assert "b171792.txt" in m.call_args[0][0].full_url
+
+
+def test_failed_fetch_write_leaves_no_file(tmp_path):
+    dest = tmp_path / "b171792.txt"
+    with mock.patch("urllib.request.urlopen", return_value=FakeResponse(b"1 1\n2 2\n")), \
+            mock.patch("os.replace", side_effect=OSError("disk full")):
+        with pytest.raises(OSError, match="disk full"):
+            fetch_bfile("A171792", str(dest))
+    assert not dest.exists()
+    assert not list(tmp_path.glob(".wit-cache-*"))
 
 
 # ---------------------------------------------------------------- shift check
@@ -270,13 +283,6 @@ def test_cli_fetch_reports_download_location(tmp_path, btab300):
 
     body = "".join(f"{n} {btab300.entry(n + 1)}\n" for n in range(1, 40))
 
-    class FakeResponse(io.BytesIO):
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
     with mock.patch("urllib.request.urlopen", return_value=FakeResponse(body.encode())):
         rc = main(["oeis-check", "--fetch", "--upto", "30",
                    "--cache-dir", str(tmp_path)])
@@ -289,13 +295,6 @@ def test_cli_fetch_message_goes_to_stderr(tmp_path, btab300, capsys):
     from witrees.cli import main
 
     body = "".join(f"{n} {btab300.entry(n + 1)}\n" for n in range(1, 40))
-
-    class FakeResponse(io.BytesIO):
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
     with mock.patch("urllib.request.urlopen", return_value=FakeResponse(body.encode())):
         main(["oeis-check", "--fetch", "--upto", "30", "--cache-dir", str(tmp_path)])

@@ -10,9 +10,9 @@ PAPER_PREFIX = [0, 0, 1, 2, 7, 34, 214, 1652, 15121, 160110, 1925442, 25924260,
                 386354366, 6314171932]
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "witrees.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 def test_help():
@@ -438,4 +438,22 @@ def test_size_limits_are_checked_before_building(monkeypatch, capsys, argv, flag
     assert run(limit + 1) == (
         f"witrees: error: {flag} {limit + 1} is too large: at most {limit} "
         f"fits the 1 GiB build limit\n"
+    )
+
+
+def test_large_arities_answer_at_once():
+    # The recurrence binomials cost O(min(s, k)) factors, so a huge --k
+    # builds its few table entries (and the brute route's guard its H_64)
+    # at once.  H_3 = (2k - 1) k + C(k, 2) = (5k^2 - 3k) / 2 at size 3k - 2.
+    k = 10**6
+    cp = run_cli("count", "--k", str(k), "--n", str(3 * k - 2), timeout=20)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == f"{(5 * k * k - 3 * k) // 2}\n" == "2499998500000\n"
+    cp = run_cli("estimate", "alpha", "--k", str(k), "--N", "100", timeout=20)
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("count", "--route", "brute", "--k", "30000", "--n", str(10**30), timeout=20)
+    assert cp.returncode == 1
+    assert re.fullmatch(
+        rf"witrees: error: --n {10**30} is too large: at most \d+ fits the 1 GiB build limit\n",
+        cp.stderr,
     )

@@ -200,6 +200,15 @@ def test_residues_follow_the_exact_recurrence():
     assert exact.h_residues(k, 12) == [h % p for h in H]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)), st.integers(0, 80),
+       st.none() | st.integers(1, 40))
+def test_stepped_coefficients_equal_library_binomials(k, m, stop):
+    last = exact.kary_smax(m, k) if stop is None else min(exact.kary_smax(m, k), stop - 1)
+    expected = [(s, math.comb(1 + (m - s) * (k - 1), s)) for s in range(1, last + 1)]
+    assert list(exact._coefficients(k, m, stop)) == expected
+
+
 # ---------------------------------------------------------------- brute force
 
 
