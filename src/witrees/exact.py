@@ -10,9 +10,12 @@ Three independent routes are implemented:
 
   ``count_binary_upto`` is the k = 2 view indexed by size, B_n = H_{n-1};
   the recurrence then reads B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) B_{n-l}.
+  The tables sum it by columns j = m - s, each holding H_j C(a_j, m-j), so
+  a term costs a multiply and an exact division by small ints.
 
 * ``count_binary_funceq``: fixed-point iteration of the generating-function
-  equation B(z) = z^2 + B(z + z^2) - B(z) on truncated series.
+  equation B(z) = z^2 + B(z + z^2) - B(z) on truncated series; each
+  iteration recomputes only the degrees above the lowest one that changed.
 
 * ``brute_force_count``: exhaustive generation of all growth histories
   (delegated to :mod:`witrees.sampler`), feasible for small sizes only.
@@ -146,21 +149,25 @@ def count_binary_funceq(N: int, max_iterations: int | None = None) -> CountTable
     coefficient depends only on strictly lower ones and freezes after
     finitely many iterations.  Exceeding the iteration budget therefore
     signals an implementation bug, not a numerical failure.
+
+    Since degree n reads only degrees below n, an iterate that agrees with
+    the previous one below degree ``first`` maps to itself up to degree
+    ``first``, so each iteration recomputes only the degrees above it.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     budget = max_iterations if max_iterations is not None else N + 2
-    # substitution weights C(p, n-p) are iteration-independent
-    weights: list[list[tuple[int, int]]] = [[] for _ in range(N + 1)]
-    for n in range(3, N + 1):
-        weights[n] = [(p, math.comb(p, n - p)) for p in range((n + 1) // 2, n)]
+    # substitution weights C(p, n-p), p = ceil(n/2)..n-1, are iteration-independent
+    weights = [[math.comb(p, n - p) for p in range((n + 1) // 2, n)] for n in range(N + 1)]
     cur = [0] * (N + 1)
+    first = 2
     for _ in range(budget):
-        new = [0] * (N + 1)
+        new = cur[:]
         new[2] = 1
-        for n in range(3, N + 1):
-            new[n] = sum(cur[p] * w for p, w in weights[n] if cur[p])
-        if new == cur:
+        for n in range(first + 1, N + 1):
+            new[n] = sum(map(mul, cur[(n + 1) // 2 : n], weights[n]))
+        first = next((n for n in range(2, N + 1) if new[n] != cur[n]), None)
+        if first is None:
             return CountTable(2, "B", ROUTE_FUNCEQ, tuple(cur))
         cur = new
     raise RuntimeError(
@@ -199,6 +206,9 @@ def _coefficients(k: int, m: int, stop: int | None = None):
     one place at O(min(s, k)) factors each: directly by math.comb while
     s < k, then from the previous one by C(a, s) =
     C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
+    They serve the readers that need one m at a time: the sampler's
+    expansion weights and the scaled ``h``/``a`` kernels.  The tables step
+    the same binomials along columns instead (see :func:`_h_counts`).
     """
     last = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
     a, c = 1 + (m - 1) * (k - 1), 0
@@ -218,17 +228,39 @@ _H_MEMO: dict[int, list[int]] = {}
 def _h_counts(k: int, M: int) -> list[int]:
     """H_0..H_M for arity k by the size recurrence (M >= 1).
 
-    The binomials come from :func:`_coefficients`, so a term costs
-    O(min(s, k)) factors and a large arity builds as fast as a small one.
+    The recurrence is summed over columns j = m - s, as in
+    :func:`h_residues` but exactly: column j holds H_j C(a_j, m-j) with
+    a_j = 1 + j(k-1), and a step of m multiplies it by a_j - (m-1-j) =
+    jk + 2 - m and divides it, exactly, by m - j.  So a term costs one
+    multiply and one division by a small int, not a product of two big
+    ones, and a large arity builds as fast as a small one.  Columns below
+    m - kary_smax(m, k) no longer contribute and are dropped.
+
     A request within the longest list built so far for k is a slice of it;
-    a longer one resumes the loop at the end of that list.  Entries are
+    a longer one resumes at the end of that list, rebuilding the live
+    columns once with math.comb.  The columns are local; entries are
     appended one at a time, so an interrupted build (Ctrl-C, MemoryError)
     leaves a valid prefix behind.  The package is single-threaded: the list
     is shared, unlocked module state.
     """
     H = _H_MEMO.setdefault(k, [0, 1])
-    for m in range(len(H), M + 1):
-        H.append(sum(c * H[m - s] for s, c in _coefficients(k, m)))
+    start = len(H)
+    if start > M:
+        return H[: M + 1]
+    # the live columns after step start - 1: j >= ceil((start - 2) / k)
+    lo = (start + k - 3) // k
+    col = [0] * M
+    for j in range(lo, start - 1):
+        col[j] = H[j] * math.comb(1 + j * (k - 1), start - 1 - j)
+    for m in range(start, M + 1):
+        new_lo = m - kary_smax(m, k)
+        for j in range(lo, new_lo):
+            col[j] = 0
+        lo = new_lo
+        for j in range(lo, m - 1):
+            col[j] = col[j] * (j * k + 2 - m) // (m - j)
+        col[m - 1] = (1 + (m - 1) * (k - 1)) * H[m - 1]
+        H.append(sum(col[lo:m]))
     return H[: M + 1]
 
 

@@ -80,6 +80,35 @@ def test_funceq_budget_error():
         count_binary_funceq(40, max_iterations=5)
 
 
+def _full_funceq_iterations(N):
+    """Reference: the fixed-point loop recomputing every degree each time.
+
+    Returns the number of iterations after which it stops and the series.
+    """
+    weights = [[(p, math.comb(p, n - p)) for p in range((n + 1) // 2, n)]
+               for n in range(N + 1)]
+    cur, iterations = [0] * (N + 1), 0
+    while True:
+        iterations += 1
+        new = [0] * (N + 1)
+        new[2] = 1
+        for n in range(3, N + 1):
+            new[n] = sum(cur[p] * w for p, w in weights[n] if cur[p])
+        if new == cur:
+            return iterations, cur
+        cur = new
+
+
+def test_funceq_takes_the_iterations_of_the_full_loop():
+    # recomputing only the degrees above the lowest change gives the same
+    # iterates, so the smallest budget that succeeds does not move
+    for N in range(2, 61):
+        iterations, series = _full_funceq_iterations(N)
+        assert count_binary_funceq(N, max_iterations=iterations).values == tuple(series)
+        with pytest.raises(RuntimeError, match="stabilize"):
+            count_binary_funceq(N, max_iterations=iterations - 1)
+
+
 # ---------------------------------------------------------------- stratification
 
 
@@ -187,6 +216,51 @@ def test_a_longer_request_resumes_where_the_last_build_ended(monkeypatch):
     assert calls == []
     count_binary_upto(350)
     assert calls == list(range(300, 350))
+
+
+def _library_h_counts(k, M):
+    """Reference for any arity: the size recurrence with math.comb binomials.
+
+    _fresh_h_counts steps its binomials by k-factor products, which take
+    seconds per term at k = 10^6.
+    """
+    H = [0, 1]
+    for m in range(2, M + 1):
+        smax = m - (m + k - 2) // k  # not the spied kary_smax
+        H.append(sum(math.comb(1 + (m - s) * (k - 1), s) * H[m - s]
+                     for s in range(1, smax + 1)))
+    return H
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)),
+       st.integers(1, 149).flatmap(lambda m1: st.tuples(st.just(m1), st.integers(m1 + 1, 150))))
+def test_a_resumed_build_equals_a_fresh_one(k, sizes):
+    # the resume rebuilds the live columns from the memo; the result must
+    # not depend on where the previous build stopped
+    M1, M2 = sizes
+    fresh = _fresh_h_counts if k < 10**6 else _library_h_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_H_MEMO", {})
+        assert count_kary_upto(k, M1).values == tuple(fresh(k, M1))
+        assert count_kary_upto(k, M2).values == tuple(fresh(k, M2))
+
+
+def test_an_interrupted_build_leaves_a_prefix_that_resumes(monkeypatch):
+    monkeypatch.setattr(exact, "_H_MEMO", {})
+    smax = exact.kary_smax
+
+    def interrupted(m, k):
+        if m == 150:
+            raise KeyboardInterrupt
+        return smax(m, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "kary_smax", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            count_binary_upto(300)
+    assert exact._H_MEMO[2] == _fresh_h_counts(2, 149)
+    assert count_binary_upto(300).values == (0, *_fresh_h_counts(2, 299))
 
 
 def test_residues_follow_the_exact_recurrence():
