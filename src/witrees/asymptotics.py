@@ -22,8 +22,10 @@ The weights (ln 2 / (k-1))^s / s! decay superexponentially, so every sum
 over s stops at one index L, fixed per call: ``_weights(k)`` lists them up
 to L once, and the b/h kernel, ``correction_a`` and ``an_identity_residual``
 all read that list.  The b/h kernel, ``correction_a`` and the integral
-route's w' sum on fixed-point Python ints with 64 bits beyond the working
-precision (``_Fixed``) and round each value once to an mpf.
+route's w' and Li2 sum on fixed-point Python ints with 64 bits beyond the
+working precision (``_Fixed``) and round each value once to an mpf.  The
+kernels compute no binomial per term: they step a row C(n, s) by Pascal's
+rule and the size recurrence's binomials by columns, as ``exact`` does.
 
 Three estimators are provided for the constants:
 
@@ -60,8 +62,9 @@ integral of phi_reg has a closed form in w = 1 - t,
     Int_0^t phi_reg = (1 - ln 2) ln(2 ln 2 E(w)) + (ln 2)^2 / 2 - pi^2 / 12
                       + Li2(1 - 2^-w),      E(w) = (1 - 2^-w) / (w ln 2),
 
-so each quadrature node costs one dilogarithm instead of an inner
-quadrature, and w'(t) is summed by Horner's rule in fixed-point integers.
+so each quadrature node needs no inner quadrature.  Li2(1 - 2^-w) is the
+Bernoulli series u sum_n B_n u^n / (n+1)! in u = w ln 2 <= ln 2, and it and
+w'(t) are summed by Horner's rule in fixed-point integers.
 """
 
 from __future__ import annotations
@@ -69,13 +72,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-# the size recurrence's binomials C(1+(n-s)(k-1), s), and the largest
-# admissible second index of delta_{n,s}: n - ceil((n-1)/k)
-from .exact import _coefficients, kary_smax as delta_smax
+# the largest admissible second index of delta_{n,s}: n - ceil((n-1)/k),
+# and the size recurrence's column stepper
+from .exact import _step_columns, kary_smax as delta_smax
 
 #: Number of Bernoulli terms in the log-gamma Stirling series (see README).
 _LOG_GAMMA_TERMS = 26
@@ -295,6 +299,12 @@ def _weights(k: int) -> list:
     return w
 
 
+def _step_row(row: list, n: int, c: int) -> None:
+    """Step row[s] = C(n-1, s) c^s R to C(n, s) c^s R in place by Pascal's rule."""
+    for s in range(min(n, len(row) - 1), 0, -1):
+        row[s] += c * row[s - 1]
+
+
 def scaled_b_recurrence(N: int, precision: Precision = Precision()) -> ScaledSequence:
     """b_2..b_N seeded with b_2 = (ln 2)^2: the k = 2 kernel, b_n = ln 2 h_{n-1}.
 
@@ -345,10 +355,12 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         (n C(n-l, l) - n C(n-1, l) + l(l-1) C(n-1, l)) / (n C(n-1, l)),
 
     so nothing cancels in rounding, and a_n itself decays like
-    n^{-2-ln 2}.  C(n-l, l) is the k = 2 recurrence binomial at H-index
-    n - 1, read from ``exact._coefficients``.  Both sums read the one
-    truncated weight list of ``_weights(2)`` and run on ``_Fixed`` integers
-    (b converts to them exactly); each a_n is rounded once to an mpf.
+    n^{-2-ln 2}.  Both binomials are stepped along n, not recomputed:
+    C(n-1, l) is a row stepped by Pascal's rule, and C(n-l, l) is the k = 2
+    recurrence binomial at H-index n - 1, held in columns j = n - 1 - l
+    (``exact._step_columns``).  Both sums read the one truncated weight
+    list of ``_weights(2)`` and run on ``_Fixed`` integers (b converts to
+    them exactly); each a_n is rounded once to an mpf.
     """
     if b.kind != "b":
         raise ValueError("correction_a expects a kind-'b' sequence")
@@ -358,15 +370,22 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
     with mp.workdps(precision.dps):
         fx = _Fixed()
         w = [fx.of(x) for x in _weights(2)]
+        L = len(w)
         bf = [fx.of(x) for x in b.values[: N + 1]]
         a = [0] * (N + 1)
+        row = [1, 1] + [0] * (L - 2)  # row[l] = C(m, l), here at m = 1
+        col, lo = [], 1  # col[j - lo] = C(1+j, m-j) for the live j >= lo
         for n in range(3, N + 1):
+            m = n - 1
+            _step_row(row, m, 1)
+            lo = _step_columns(col, lo, m, 2, L)
+            col.append(m)
             acc = 0
-            for l, g in _coefficients(2, n - 1, len(w)):  # g = C(n-l, l)
-                c = math.comb(n - 1, l)
+            for l in range(1, m - lo + 1):
+                g, c = col[m - l - lo], row[l]  # C(n-l, l), C(n-1, l)
                 num = n * (g - c) + l * (l - 1) * c
                 acc += w[l] * bf[n - l] * num // (n * c << fx.bits)
-            for l in range(n // 2 + 1, min(n - 1, len(w))):
+            for l in range(n // 2 + 1, min(n - 1, L)):
                 acc -= w[l] * bf[n - l] * (n - l * (l - 1)) // (n << fx.bits)
             a[n] = acc
         return ScaledSequence("a", 2, tuple(fx.to_mpf(v) for v in a), precision)
@@ -395,19 +414,28 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     like (k-1)^-s), and (k-1)^s joins the integer denominator of each
     summand, W[s] h_{n-s} C(1+(n-s)(k-1), s) // (C(n, s) (k-1)^s).  Each
     value is rounded once to an mpf at the caller's working precision.
-    The binomials C(1+(n-s)(k-1), s) come from ``exact._coefficients``,
-    stopped at L.
+
+    No binomial is computed afresh.  The denominators C(n, s) (k-1)^s 2^bits
+    form a row stepped by Pascal's rule, and the numerators are summed by
+    columns j = n - s, each holding h_j C(1+j(k-1), n-j) and stepped by one
+    small multiply and one exact small division per n
+    (``exact._step_columns``).  Every summand is the same integer as in a
+    term-by-term sum.
     """
     fx = _Fixed()
     c = k - 1
     weights = [fx.of(ws * c ** s) for s, ws in enumerate(_weights(k))]
-    scales = [c ** s << fx.bits for s in range(len(weights))]
+    L = len(weights)
+    den = [1 << fx.bits, c << fx.bits] + [0] * (L - 2)  # den[s] at n = 1
     h = [0, fx.of(seed)]
+    col, lo = [], 1  # col[j - lo] = h_j C(1+j(k-1), n-j) for the live j >= lo
     for n in range(2, N + 1):
-        acc = 0
-        for s, b in _coefficients(k, n, len(weights)):
-            acc += weights[s] * h[n - s] * b // (math.comb(n, s) * scales[s])
-        h.append(acc)
+        _step_row(den, n, c)
+        lo = _step_columns(col, lo, n, k, L)
+        col.append((1 + (n - 1) * c) * h[n - 1])
+        h.append(sum(map(
+            floordiv, map(mul, weights[n - lo : 0 : -1], col), den[n - lo : 0 : -1]
+        )))
     return [fx.to_mpf(v) for v in h]
 
 
@@ -564,13 +592,68 @@ def _neg_log_g_reg(w: mp.mpf) -> mp.mpf:
                           + Li2(w ln2 E(w)),
 
     with the polylogarithm argument in [0, 1/2] for w in [0, 1].
+    The dilogarithm is ``_li2_one_minus_pow2(w)``, a fixed-point series.
     """
     ln2 = mp.ln(2)
     ew = _expm1_ratio(w)
     return (
         (1 - ln2) * mp.log(2 * ln2 * ew) + ln2 ** 2 / 2 - mp.pi ** 2 / 12
-        + mp.polylog(2, w * ln2 * ew)
+        + _li2_one_minus_pow2(w)
     )
+
+
+#: Fixed-point coefficients of the Li2 series, per ``_Fixed().bits``.
+_LI2_COEFFS: dict[int, list[int]] = {}
+
+
+def _li2_coefficients(bits: int) -> list:
+    """floor(B_n 2^bits / (n+1)!) for n = M, ..., 1, 0, highest degree first.
+
+    Built once per width from exact rationals b_n = B_n / n!: b_0 = 1,
+    sum_{j<=n} b_j / (n+1-j)! = 0 for n >= 1 (the coefficients of
+    u/(e^u - 1) times (e^u - 1)/u = 1), and b_n = 0 for odd n > 1.
+    mp.bernfrac gives the same numbers but leaves caches of its own behind
+    for every n.  For u <= ln 2 < 7/10 the list ends before the first even
+    n with |c_n| 7^n < 10^n, whose term is below one unit; the terms after
+    it shrink by (u/2 pi)^2 < 1/80 per even step.
+    """
+    coeffs = _LI2_COEFFS.get(bits)
+    if coeffs is None:
+        coeffs, b, n = [], [Fraction(1)], 0
+        while True:
+            c = (b[n].numerator << bits) // (b[n].denominator * (n + 1))
+            if n % 2 == 0 and abs(c) * 7 ** n < 10 ** n:
+                break
+            coeffs.append(c)
+            n += 1
+            odd = n % 2 and n > 1
+            b.append(Fraction(0) if odd else -sum(
+                bj / math.factorial(n + 1 - j) for j, bj in enumerate(b) if bj
+            ))
+        coeffs.reverse()
+        _LI2_COEFFS[bits] = coeffs
+    return coeffs
+
+
+def _li2_one_minus_pow2(w: mp.mpf) -> mp.mpf:
+    """Li2(1 - 2^-w) for w in [0, 1], without calling a polylogarithm.
+
+    With u = w ln 2, d/du Li2(1 - e^-u) = u / (e^u - 1), so
+
+        Li2(1 - e^-u) = u sum_{n>=0} B_n u^n / (n+1)!,
+
+    which converges for u < 2 pi.  The sum is Horner's rule on ``_Fixed``
+    ints (coefficients from ``_li2_coefficients``) and is O(1); it is
+    rounded once and multiplied by u as an mpf, so the value keeps its
+    relative precision as w -> 0 and is exactly 0 at w = 0.
+    """
+    fx = _Fixed()
+    u = w * mp.ln(2)
+    x = fx.of(u)
+    acc = 0
+    for c in _li2_coefficients(fx.bits):
+        acc = (acc * x >> fx.bits) + c
+    return u * fx.to_mpf(acc)
 
 
 def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
@@ -579,12 +662,16 @@ def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
     Continuous on [0, 1] with g_regular(0) = 1; its value at 1 is the
     closed-form prefactor returned by ``asymptotic_prefactor``.  Evaluated
     as exp(-Int_0^t phi_reg) through the closed form of the integral in
-    w = 1 - t (``_neg_log_g_reg``), with no quadrature.
+    w = 1 - t (``_neg_log_g_reg``), with no quadrature.  Raises ValueError
+    for t outside [0, 1].
     """
     with mp.workdps(precision.dps):
+        t = mp.mpf(t)
+        if not 0 <= t <= 1:
+            raise ValueError(f"g_regular needs t in [0, 1], got t = {t}")
         if t == 0:
             return mp.mpf(1)
-        return mp.exp(-_neg_log_g_reg(1 - mp.mpf(t)))
+        return mp.exp(-_neg_log_g_reg(1 - t))
 
 
 def _w_prime(a: ScaledSequence):

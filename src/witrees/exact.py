@@ -29,7 +29,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
+from operator import floordiv, mul
 
 #: Refuse brute-force runs expected to produce more trees than this.
 DEFAULT_TREE_GUARD = 2_000_000
@@ -206,8 +206,8 @@ def _coefficients(k: int, m: int, stop: int | None = None):
     one place at O(min(s, k)) factors each: directly by math.comb while
     s < k, then from the previous one by C(a, s) =
     C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
-    They serve the readers that need one m at a time: the sampler's
-    expansion weights and the scaled ``h``/``a`` kernels.  The tables step
+    They serve the one reader that needs one m at a time, the sampler's
+    expansion weights.  The tables and the scaled ``h``/``a`` kernels step
     the same binomials along columns instead (see :func:`_h_counts`).
     """
     last = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
@@ -221,6 +221,27 @@ def _coefficients(k: int, m: int, stop: int | None = None):
         a -= k - 1
 
 
+def _step_columns(col: list, lo: int, m: int, k: int, stop: int | None = None) -> int:
+    """Step the recurrence's binomial columns to H-index m; return their new lowest index.
+
+    ``col`` holds the live columns j = lo..m-2 in order, column j being
+    x_j C(a_j, m-1-j) with a_j = 1 + j(k-1).  At m the live columns are
+    those with s = m - j <= kary_smax(m, k) and, given ``stop``, s < stop;
+    the others are removed from the front.  Each one left gains one
+    multiply by a_j - (m-1-j) = jk + 2 - m and one exact division by
+    m - j.  The caller appends column m - 1.
+    """
+    top = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
+    new_lo = m - top
+    del col[: new_lo - lo]
+    col[:] = map(
+        floordiv,
+        map(mul, col, range(new_lo * k + 2 - m, (m - 1) * k + 2 - m, k)),
+        range(top, 1, -1),
+    )
+    return new_lo
+
+
 #: The longest list H_0..H_M built so far, per arity k (see _h_counts).
 _H_MEMO: dict[int, list[int]] = {}
 
@@ -231,10 +252,11 @@ def _h_counts(k: int, M: int) -> list[int]:
     The recurrence is summed over columns j = m - s, as in
     :func:`h_residues` but exactly: column j holds H_j C(a_j, m-j) with
     a_j = 1 + j(k-1), and a step of m multiplies it by a_j - (m-1-j) =
-    jk + 2 - m and divides it, exactly, by m - j.  So a term costs one
-    multiply and one division by a small int, not a product of two big
-    ones, and a large arity builds as fast as a small one.  Columns below
-    m - kary_smax(m, k) no longer contribute and are dropped.
+    jk + 2 - m and divides it, exactly, by m - j (:func:`_step_columns`).
+    So a term costs one multiply and one division by a small int, not a
+    product of two big ones, and a large arity builds as fast as a small
+    one.  Columns below m - kary_smax(m, k) no longer contribute and are
+    dropped.
 
     A request within the longest list built so far for k is a slice of it;
     a longer one resumes at the end of that list, rebuilding the live
@@ -249,18 +271,11 @@ def _h_counts(k: int, M: int) -> list[int]:
         return H[: M + 1]
     # the live columns after step start - 1: j >= ceil((start - 2) / k)
     lo = (start + k - 3) // k
-    col = [0] * M
-    for j in range(lo, start - 1):
-        col[j] = H[j] * math.comb(1 + j * (k - 1), start - 1 - j)
+    col = [H[j] * math.comb(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
     for m in range(start, M + 1):
-        new_lo = m - kary_smax(m, k)
-        for j in range(lo, new_lo):
-            col[j] = 0
-        lo = new_lo
-        for j in range(lo, m - 1):
-            col[j] = col[j] * (j * k + 2 - m) // (m - j)
-        col[m - 1] = (1 + (m - 1) * (k - 1)) * H[m - 1]
-        H.append(sum(col[lo:m]))
+        lo = _step_columns(col, lo, m, k)
+        col.append((1 + (m - 1) * (k - 1)) * H[m - 1])
+        H.append(sum(col))
     return H[: M + 1]
 
 

@@ -297,6 +297,33 @@ def test_fixed_point_scaled_h_agrees_with_the_mpf_loop(digits, k, N):
             assert abs(v - x) <= p.tolerance() * x, n
 
 
+def _scaled_h_per_term(k, N, seed):
+    """Reference: the fixed-point kernel with fresh binomials for every term."""
+    fx = asy._Fixed()
+    c = k - 1
+    weights = [fx.of(ws * c ** s) for s, ws in enumerate(asy._weights(k))]
+    scales = [c ** s << fx.bits for s in range(len(weights))]
+    h = [0, fx.of(seed)]
+    for n in range(2, N + 1):
+        acc = 0
+        for s, b in exact._coefficients(k, n, len(weights)):
+            acc += weights[s] * h[n - s] * b // (math.comb(n, s) * scales[s])
+        h.append(acc)
+    return [fx.to_mpf(v) for v in h]
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("k", [2, 3, 13, 49, 10**6])
+def test_stepped_scaled_h_equals_the_per_term_sum(k, digits):
+    # the stepped binomials give every summand the same integer, so the
+    # values are equal, not merely close
+    with mp.workdps(Precision(digits).dps):
+        seed = mp.ln(2) / (k - 1)
+        reference = _scaled_h_per_term(k, 300, seed)
+        for N in (1, 2, 3, 4, 57, 300):
+            assert asy._scaled_h(k, N, seed) == reference[: N + 1], N
+
+
 def test_gamma_is_binary_delta():
     # gamma(n+1, s) is the k = 2 case of delta_{n,s} = C(1+(n-s)(k-1), s) / C(n, s)
     for n in range(1, 201):
@@ -442,6 +469,59 @@ def test_closed_form_g_reg_matches_the_phi_reg_quadrature(digits, w):
         assert abs(closed - reference) <= p.tolerance() * reference
 
 
+def test_g_regular_refuses_t_outside_the_unit_interval(prec30):
+    for t in (-0.5, 1.5, 2, mp.mpf("1.0000001"), mp.nan):
+        with pytest.raises(ValueError, match=r"^g_regular needs t in \[0, 1\], got t = "):
+            asy.g_regular(t, prec30)
+    assert asy.g_regular("0.5", prec30) > 0
+
+
+def _li2_reference(w):
+    """Li2(1 - 2^-w) by mpmath's polylog, 20 digits finer, on an exact argument."""
+    with mp.workdps(mp.mp.dps + 20):
+        return +mp.polylog(2, -mp.expm1(-mp.mpf(w) * mp.ln(2)))
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@given(w=unit_w)
+@example(w=0.0)
+@example(w=1.0)
+@example(w=1e-45)
+@settings(max_examples=30, deadline=None)
+def test_fixed_point_li2_matches_the_polylog(digits, w):
+    with mp.workdps(Precision(digits).dps):
+        w = mp.mpf(w)
+        value = asy._li2_one_minus_pow2(w)
+        reference = _li2_reference(w)
+        assert abs(value - reference) <= mp.mpf(10) ** -(digits + 10) * reference
+        if w == 0:
+            assert value == 0
+
+
+@pytest.mark.parametrize("digits", [15, 30, 330])
+def test_li2_coefficients_are_the_floored_bernoulli_ratios(digits):
+    with mp.workdps(Precision(digits).dps):
+        bits = asy._Fixed().bits
+        coeffs = asy._li2_coefficients(bits)
+    expected = []
+    for n in range(len(coeffs)):
+        p, q = mp.bernfrac(n)
+        expected.append((p << bits) // (q * math.factorial(n + 1)))
+    assert coeffs == expected[::-1]
+
+
+def test_fixed_point_li2_past_1024_bits():
+    # at D = 330 the fixed-point width exceeds 1024 bits, beyond a float's range
+    digits = 330
+    with mp.workdps(Precision(digits).dps):
+        assert asy._Fixed().bits > 1024
+        for w in ("1e-45", "0.3", "1"):
+            w = mp.mpf(w)
+            reference = _li2_reference(w)
+            error = abs(asy._li2_one_minus_pow2(w) - reference)
+            assert error <= mp.mpf(10) ** -(digits + 10) * reference, w
+
+
 @functools.lru_cache(maxsize=None)
 def _correction_sequence(digits):
     p = Precision(digits)
@@ -469,6 +549,33 @@ def _correction_reference(digits):
     b = scaled_b_recurrence(600, p)
     with mp.workdps(p.dps):
         return b, _correction_a_mpf(600, b)
+
+
+def _correction_a_per_term(N, b):
+    """Reference: the fixed-point correction sequence with fresh binomials for every term."""
+    fx = asy._Fixed()
+    w = [fx.of(x) for x in asy._weights(2)]
+    bf = [fx.of(x) for x in b.values[: N + 1]]
+    a = [0] * (N + 1)
+    for n in range(3, N + 1):
+        acc = 0
+        for l, g in exact._coefficients(2, n - 1, len(w)):  # g = C(n-l, l)
+            c = math.comb(n - 1, l)
+            num = n * (g - c) + l * (l - 1) * c
+            acc += w[l] * bf[n - l] * num // (n * c << fx.bits)
+        for l in range(n // 2 + 1, min(n - 1, len(w))):
+            acc -= w[l] * bf[n - l] * (n - l * (l - 1)) // (n << fx.bits)
+        a[n] = acc
+    return [fx.to_mpf(v) for v in a]
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_stepped_correction_a_equals_the_per_term_sum(digits):
+    b = scaled_b_recurrence(300, Precision(digits))
+    with mp.workdps(b.precision.dps):
+        reference = _correction_a_per_term(300, b)
+    for N in (3, 4, 5, 57, 300):
+        assert list(correction_a(N, b).values) == reference[: N + 1], N
 
 
 # N is capped at 600 to keep the mpf reference cheap
@@ -511,6 +618,33 @@ def test_eta_integral_route_agrees(bseq1200):
     assert est_int.method == "integral"
     assert abs(est_int.value - est_ext.value) <= mp.mpf("0.01") * est_ext.value
     assert est_int.error < mp.mpf("0.01")
+
+
+def _prefix(seq, N):
+    """seq truncated at index N: every kernel value is independent of the length."""
+    return asy.ScaledSequence(seq.kind, seq.k, seq.values[: N + 1], seq.precision)
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_b(N, digits):
+    return scaled_b_recurrence(N, Precision(digits))
+
+
+@pytest.mark.parametrize("route, N", [
+    ("extrapolation", 1000), ("extrapolation", 2000), ("extrapolation", 4000),
+    ("integral", 300), ("integral", 600), ("integral", 1200),
+])
+def test_eta_error_bars_cover_the_distance_to_the_reference(route, N):
+    # each bar covers the distance to extrapolation at N = 8000, D = 30,
+    # with that reference's own bar added
+    ref = estimate_eta_extrapolation(_scaled_b(8000, 30))
+    if route == "extrapolation":
+        est = estimate_eta_extrapolation(_prefix(_scaled_b(8000, 30), N))
+    else:
+        est = estimate_eta_integral(correction_a(N, _scaled_b(1200, 15)))
+    assert est.method == route and est.n_used == N
+    with mp.workdps(Precision(30).dps):
+        assert abs(est.value - ref.value) + ref.error <= est.error
 
 
 def test_eta_integral_rejects_short_sequences():

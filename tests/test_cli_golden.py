@@ -40,6 +40,12 @@ COMMANDS = [
     "count --k 1000 --upto 13000",
     "estimate alpha --k 13 --N 300",
     "table --k 1000 --upto 40 --out F",
+    # scaled kernels and both eta routes beyond the sizes pinned above
+    "scaled --kind h --k 1000000 --upto 300 --digits 30",
+    "scaled --kind h --k 49 --upto 300 --digits 15",
+    "scaled --kind a --upto 1000 --digits 15",
+    "estimate eta --method integral --N 1200 --digits 15",
+    "estimate eta --N 3000",
 ]
 
 
