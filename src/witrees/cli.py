@@ -76,7 +76,11 @@ def _cubic_bits(k: int, M: int) -> float:
 
 
 def _brute_bits(k: int, n: int) -> int:
-    """Every tree up to size n, held at once by the exhaustive route."""
+    """Every tree up to size n at TREE_SLOT_BITS a slot: an over-count.
+
+    The exhaustive route holds one flat tree and one canonical encoding
+    per tree, not the trees themselves; the bound is kept as its check.
+    """
     M = min(_h_index(k, n), 64)  # 64 labels are far beyond any enumeration
     return exact._h_counts(k, max(M, 1))[-1] * n * TREE_SLOT_BITS
 

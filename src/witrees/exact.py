@@ -337,19 +337,20 @@ def count_upto_size(k: int, n: int) -> CountTable:
 def brute_force_count(k: int, n: int, guard: int | None = None) -> int:
     """Count size-n trees by exhaustively running all growth histories.
 
-    Trees are deduplicated through their canonical encoding; since every
-    tree has a unique growth history the deduplication must be a no-op and
-    a discrepancy raises.  Aborts with :class:`GuardExceeded` once more
-    than ``guard`` trees of the target size have been produced.
+    Each finished tree's canonical encoding is written straight from the
+    walk's flat state and kept; since every tree has a unique growth
+    history no encoding may repeat, and a repeat raises.  Aborts with
+    :class:`GuardExceeded` once more than ``guard`` trees of the target
+    size have been produced.
     """
-    from .sampler import enumerate_all  # deferred: sampler builds on this module
+    from . import sampler, trees  # deferred: sampler builds on this module
 
-    trees = enumerate_all(k, n, guard=guard)
-    from .trees import canonical_encoding
-
-    encodings = {canonical_encoding(t) for t in trees}
-    if len(encodings) != len(trees):
+    encodings: set[bytes] = set()
+    count = sampler._walk_histories(
+        k, n, guard, lambda state: encodings.add(trees._encode_flat(state))
+    )
+    if len(encodings) != count:
         raise AssertionError(
             f"exhaustive generation produced duplicate trees at size {n}"
         )
-    return len(trees)
+    return count

@@ -2,7 +2,11 @@
 
 ``enumerate_all`` materializes every weakly increasing tree of a given size
 by running all growth histories; each tree appears exactly once because a
-tree determines its history.
+tree determines its history.  The histories are walked depth first on one
+flat ``GrowingTree``: a leaf subset is expanded in place, the walk
+recurses, and the step is undone.  At each finished tree the walk hands
+the state to a visitor, which ``enumerate_all`` freezes and
+``exact.brute_force_count`` encodes without building the tree.
 
 ``sample_uniform`` draws a tree exactly uniformly at random using the
 counting recurrence read as a probabilistic construction: a uniform tree
@@ -34,11 +38,61 @@ from .exact import CountTable, GuardExceeded
 from .trees import (
     CompletedTree,
     GrowingTree,
-    bullet_positions,
+    _grow_flat,
     evolution_step,
     iter_nodes,
     root_tree,
 )
+
+
+def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
+    """Run every growth history to size ``n``, calling ``visit`` per tree.
+
+    One ``GrowingTree`` is walked depth first: each leaf subset is expanded
+    in place by ``_grow_flat``, the walk recurses, and the step is undone
+    by unlinking the new nodes, truncating ``labels`` and ``children`` and
+    restoring the saved leaf list.  Subsets are taken by increasing size,
+    then lexicographically by preorder leaf index.  ``visit`` gets the
+    state of each finished tree and must not change it.  Returns the
+    number of trees; raises :class:`GuardExceeded` once it passes ``guard``.
+    """
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    limit = exact.DEFAULT_TREE_GUARD if guard is None else guard
+    # sizes are 1 + (k-1)m, from the root tree's k up
+    if n < k or (n - 1) % (k - 1):
+        return 0
+    state = GrowingTree(k)
+    labels, children = state.labels, state.children
+    found = 0
+
+    def grow(label: int) -> None:
+        nonlocal found
+        leaves = state.leaves
+        size = len(leaves)
+        if size == n:
+            found += 1
+            if found > limit:
+                raise GuardExceeded(
+                    f"more than {limit} trees of size {n}; raise the guard to proceed"
+                )
+            visit(state)
+            return
+        top = len(labels)
+        for take in range(1, (n - size) // (k - 1) + 1):
+            for subset in itertools.combinations(range(size), take):
+                _grow_flat(state, subset, label)
+                grow(label + 1)
+                for i in subset:
+                    parent, slot = leaves[i]
+                    children[parent][slot] = -1
+                del labels[top:], children[top:]
+                state.leaves = leaves
+
+    grow(2)
+    return found
 
 
 def enumerate_all(k: int, n: int, guard: int | None = None) -> list[CompletedTree]:
@@ -46,37 +100,12 @@ def enumerate_all(k: int, n: int, guard: int | None = None) -> list[CompletedTre
 
     The order is the depth-first order of growth histories, expanding leaf
     subsets by increasing cardinality and, within a cardinality, in
-    lexicographic order of the preorder leaf positions.
+    lexicographic order of the preorder leaf positions.  The histories are
+    run on one flat state with apply and undo; each finished tree is
+    frozen as the walk reaches it.
     """
-    if k < 2:
-        raise ValueError("arity must be >= 2")
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    limit = exact.DEFAULT_TREE_GUARD if guard is None else guard
     out: list[CompletedTree] = []
-    base = root_tree(k)
-    if n < base.size:
-        return out
-
-    def grow(t: CompletedTree) -> None:
-        size = t.size
-        if size == n:
-            out.append(t)
-            if len(out) > limit:
-                raise GuardExceeded(
-                    f"more than {limit} trees of size {n}; raise the guard to proceed"
-                )
-            return
-        max_take = (n - size) // (k - 1)
-        if max_take == 0:
-            return
-        leaves = bullet_positions(t.root)
-        label = t.max_label + 1
-        for take in range(1, max_take + 1):
-            for subset in itertools.combinations(leaves, take):
-                grow(evolution_step(t, subset, label))
-
-    grow(base)
+    _walk_histories(k, n, guard, lambda state: out.append(state.freeze()))
     return out
 
 

@@ -28,8 +28,10 @@ sequence of such steps starting from the one-node root tree, which is what
 makes counting and uniform sampling by recurrence possible.
 
 All tree values are immutable; operations return new trees.  The one
-exception is ``GrowingTree``, a mutable flat state that the exact
-sampler expands in place and freezes into a ``CompletedTree`` at the end.
+exception is ``GrowingTree``, a mutable flat state.  The exact sampler
+expands it in place and freezes it into a ``CompletedTree`` at the end;
+the exhaustive walk expands and undoes steps on one state and reads each
+finished tree from it, frozen or as its canonical encoding.
 """
 
 from __future__ import annotations
@@ -294,6 +296,10 @@ class GrowingTree:
     (node, slot) pairs in preorder, the order of ``bullet_positions``.  An
     ``evolution_step`` on it takes preorder leaf indices instead of paths
     and costs O(size); ``freeze`` builds the immutable tree once.
+
+    The sampler grows a state to its final size.  The exhaustive walk
+    (``sampler._walk_histories``) also undoes steps on it, and
+    ``_encode_flat`` writes a state's canonical encoding without freezing.
     """
 
     __slots__ = ("arity", "labels", "children", "leaves")
@@ -447,6 +453,27 @@ def canonical_encoding(t: CompletedTree) -> bytes:
         for slot in reversed(node.slots):
             if isinstance(slot, Node):
                 stack.append(slot)
+    return bytes(out)
+
+
+def _encode_flat(t: GrowingTree) -> bytes:
+    """``canonical_encoding(t.freeze())``, written from the flat state."""
+    k = t.arity
+    mask_len = (k + 7) // 8
+    labels, children = t.labels, t.children
+    out = bytearray()
+    _write_varint(out, k)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        _write_varint(out, labels[v])
+        kids = children[v]
+        mask = 0
+        for i in range(k - 1, -1, -1):
+            if kids[i] >= 0:
+                mask |= 1 << i
+                stack.append(kids[i])
+        out += mask.to_bytes(mask_len, "little")
     return bytes(out)
 
 

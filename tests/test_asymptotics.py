@@ -647,6 +647,29 @@ def test_eta_error_bars_cover_the_distance_to_the_reference(route, N):
         assert abs(est.value - ref.value) + ref.error <= est.error
 
 
+@pytest.mark.parametrize("k, N", [(2, 300), (2, 600), (2, 1200), (3, 150), (3, 300)])
+def test_alpha_error_bars_cover_the_distance_to_the_closed_form(k, N):
+    # the limit is (k-1)/ln 2; each table is a slice of one memoized build
+    est = estimate_alpha(exact.count_binary_upto(N) if k == 2 else count_kary_upto(k, N))
+    assert est.n_used == N
+    with mp.workdps(Precision(30).dps):
+        assert abs(est.value - (k - 1) / mp.ln(2)) <= est.error
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_h3(N):
+    return scaled_h_recurrence(3, N, Precision(30))
+
+
+@pytest.mark.parametrize("N", [2000, 3000])
+def test_kary_exponent_error_bars_cover_the_distance_to_the_closed_form(N, hseq3_2000):
+    h = hseq3_2000 if N == 2000 else _scaled_h3(N)
+    est = estimate_kary_exponent(h)
+    assert est.n_used == N
+    with mp.workdps(h.precision.dps):
+        assert abs(est.value - kary_exponent_target(3, h.precision)) <= est.error
+
+
 def test_eta_integral_rejects_short_sequences():
     # long enough for the size floor, but a_n ~ n^-2 decays too slowly for
     # its truncation tail to meet the target accuracy

@@ -311,3 +311,19 @@ def test_brute_force_guard():
 def test_guard_is_configurable():
     assert exact.DEFAULT_TREE_GUARD == 2_000_000
     assert brute_force_count(2, 6, guard=250) == 214
+
+
+def test_brute_force_guard_boundary():
+    # 214 trees of size 6: a guard of 213 is passed, one of 214 is not
+    with pytest.raises(GuardExceeded, match="more than 213 trees of size 6"):
+        brute_force_count(2, 6, guard=213)
+    assert brute_force_count(2, 6, guard=214) == 214
+
+
+def test_brute_force_detects_repeated_encodings(monkeypatch):
+    from witrees import trees
+
+    monkeypatch.setattr(trees, "_encode_flat", lambda state: b"same")
+    with pytest.raises(AssertionError, match="duplicate trees at size 4"):
+        brute_force_count(2, 4)
+    assert brute_force_count(2, 2) == 1  # one tree cannot repeat

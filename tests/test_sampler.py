@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -51,6 +52,20 @@ def test_enumerate_deterministic_order():
     assert [canonical_encoding(t) for t in first] == [
         canonical_encoding(t) for t in second
     ]
+
+
+@pytest.mark.parametrize("k, n, digest", [
+    (2, 8, "55fdb494726081a92259bb3b94e221351c876ba12165f74ae6b1def190fe5304"),
+    (3, 9, "d66e9952469703d9cb37047848d43b8b43eb6cb5f0132924c92074e9bda0a63e"),
+    (4, 10, "ab8f245f12177a7c7f88007ddeab3cf45334402e0b692a1335e633f1c96ac426"),
+], ids=["k2-n8", "k3-n9", "k4-n10"])
+def test_enumeration_order_is_pinned(k, n, digest):
+    # sha256 over the encodings in enumeration order: subsets by size, then
+    # lexicographically by preorder leaf index, depth first
+    h = hashlib.sha256()
+    for t in enumerate_all(k, n):
+        h.update(canonical_encoding(t))
+    assert h.hexdigest() == digest
 
 
 def test_enumerate_trees_are_valid_and_distinct():

@@ -21,6 +21,7 @@ from witrees.trees import (
     render_indented,
     root_tree,
     validate,
+    _encode_flat,
     _write_varint,
 )
 
@@ -233,6 +234,22 @@ def test_encoding_injective_exhaustive_small():
         trees = enumerate_all(2, n)
         assert len(trees) == count
         assert len({canonical_encoding(t) for t in trees}) == count
+
+
+@pytest.mark.parametrize("k, top", [(2, 7), (3, 9), (4, 10)])
+def test_flat_encoding_equals_the_frozen_tree_encoding(k, top):
+    # every tree the brute walk finishes, at every size up to ``top``
+    from witrees.sampler import _walk_histories
+
+    for n in range(top + 1):
+        found = []
+        count = _walk_histories(
+            k, n, None, lambda state: found.append((_encode_flat(state), state.freeze()))
+        )
+        assert count == len(found) == len({data for data, _ in found})
+        for data, tree in found:
+            assert data == canonical_encoding(tree)
+            assert decode_encoding(data) == tree
 
 
 def test_node_equality_hash_and_repr_follow_the_structure():
