@@ -70,8 +70,8 @@ def _table_bits(k: int, M: int) -> float:
 
 
 def _cubic_bits(k: int, M: int) -> float:
-    """About M rows of a table: the label-stratified table, the series
-    route's binomials and the sampler's expansion weights."""
+    """About M rows of a table: held by the label-stratified table and the
+    series route's binomials, multiplied by the sampler's weight check."""
     return 2 * max(M, 0) * _table_bits(k, M) / 3
 
 
@@ -86,7 +86,9 @@ def _brute_bits(k: int, n: int) -> int:
 
 
 def _sample_bits(k: int, n: int) -> float:
-    """The sampler's table and expansion weights, and one tree of size n."""
+    """The sampler's table and one tree of size n, plus the M^3 bits that
+    ``SamplerContext.create`` multiplies to check the weights: work, not
+    memory, kept so that an accepted size does not run for hours."""
     M = _h_index(k, n)
     return _table_bits(k, M) + _cubic_bits(k, M) + n * TREE_SLOT_BITS
 

@@ -199,20 +199,20 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     return LabelStratifiedTable(N, values)
 
 
-def _coefficients(k: int, m: int, stop: int | None = None):
-    """Yield (s, C(1+(m-s)(k-1), s)) for s = 1..kary_smax(m, k), ending before ``stop``.
+def _coefficients(k: int, m: int):
+    """Yield (s, C(1+(m-s)(k-1), s)) for s = 1..kary_smax(m, k).
 
     These are the binomials of the size recurrence at H-index m, stepped in
     one place at O(min(s, k)) factors each: directly by math.comb while
     s < k, then from the previous one by C(a, s) =
     C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
-    They serve the one reader that needs one m at a time, the sampler's
-    expansion weights.  The tables and the scaled ``h``/``a`` kernels step
-    the same binomials along columns instead (see :func:`_h_counts`).
+    They serve the one reader that needs one m at a time, the sampler: its
+    descent and the weight check of its context.  The tables and the
+    scaled ``h``/``a`` kernels step the same binomials along columns
+    instead (see :func:`_h_counts`).
     """
-    last = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
     a, c = 1 + (m - 1) * (k - 1), 0
-    for s in range(1, last + 1):
+    for s in range(1, kary_smax(m, k) + 1):
         if s < k:
             c = math.comb(a, s)
         else:

@@ -6,7 +6,8 @@ tree determines its history.  The histories are walked depth first on one
 flat ``GrowingTree``: a leaf subset is expanded in place, the walk
 recurses, and the step is undone.  At each finished tree the walk hands
 the state to a visitor, which ``enumerate_all`` freezes and
-``exact.brute_force_count`` encodes without building the tree.
+``exact.brute_force_count`` encodes without building the tree; the tree
+guard is checked against the exact count before the walk starts.
 
 ``sample_uniform`` draws a tree exactly uniformly at random using the
 counting recurrence read as a probabilistic construction: a uniform tree
@@ -15,7 +16,9 @@ its leaves expanded, where s is chosen with probability
 C(1+(m-s)(k-1), s) * H_{m-s} / H_m (for binary trees of size n = m+1 this
 is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
-uniform, not merely approximately so.  The expansions are replayed by
+uniform, not merely approximately so.  ``SamplerContext.create`` checks
+the weights' normalization once for its whole table; the descent scans
+them lazily and keeps nothing.  The expansions are replayed by
 ``evolution_step`` on a flat mutable ``GrowingTree`` (labels, child ids
 and the preorder leaf list) at O(n) per growth step, and the immutable
 tree is built once at the end; the random stream and hence every seeded
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exact
 from .exact import CountTable, GuardExceeded
@@ -53,8 +56,9 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     by unlinking the new nodes, truncating ``labels`` and ``children`` and
     restoring the saved leaf list.  Subsets are taken by increasing size,
     then lexicographically by preorder leaf index.  ``visit`` gets the
-    state of each finished tree and must not change it.  Returns the
-    number of trees; raises :class:`GuardExceeded` once it passes ``guard``.
+    state of each finished tree and must not change it.  Returns the number
+    of trees; first raises :class:`GuardExceeded` if H_min(m, 64) for n's
+    H-index m exceeds ``guard`` (H rises with m; H_64 passes any guard).
     """
     if k < 2:
         raise ValueError("arity must be >= 2")
@@ -64,6 +68,8 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     # sizes are 1 + (k-1)m, from the root tree's k up
     if n < k or (n - 1) % (k - 1):
         return 0
+    if exact._h_counts(k, min((n - 1) // (k - 1), 64))[-1] > limit:
+        raise GuardExceeded(f"more than {limit} trees of size {n}; raise the guard to proceed")
     state = GrowingTree(k)
     labels, children = state.labels, state.children
     found = 0
@@ -74,10 +80,6 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
         size = len(leaves)
         if size == n:
             found += 1
-            if found > limit:
-                raise GuardExceeded(
-                    f"more than {limit} trees of size {n}; raise the guard to proceed"
-                )
             visit(state)
             return
         top = len(labels)
@@ -121,12 +123,19 @@ class SamplerContext:
     table: CountTable
     seed: int
     rng: random.Random
-    _weights: dict[int, list[tuple[int, int]]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def create(cls, k: int, max_size: int, seed: int) -> "SamplerContext":
-        """Build a context whose table covers all sizes up to ``max_size``."""
-        return cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
+        """Build a context whose table covers all sizes up to ``max_size``.
+
+        Asserts that the expansion weights sum to the entry at every
+        H-index from 2 up, once, before any sample is drawn.
+        """
+        ctx = cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
+        for m in range(2 + ctx.table.offset, ctx.table.max_index + 1):
+            if sum(w for _, w in _expansion_weights(ctx, m)) != ctx.table.entry(m):
+                raise AssertionError(f"expansion weights at index {m} do not sum to the count")
+        return ctx
 
 
 def _randbelow(rng: random.Random, bound: int) -> int:
@@ -154,19 +163,10 @@ def _expansion_weights(ctx: SamplerContext, m: int) -> list[tuple[int, int]]:
     at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s), the
     binomial read from the recurrence's one stepper,
     ``exact._coefficients``.  Weights are exact integers summing to the
-    table entry at ``m``; the sum is asserted, which re-proves the
-    recurrence at every visited index.
+    table entry at ``m``; ``SamplerContext.create`` asserts it.
     """
-    cached = ctx._weights.get(m)
-    if cached is not None:
-        return cached
-    h = m - ctx.table.offset
-    pairs = [(s, c * ctx.table.entry(m - s)) for s, c in exact._coefficients(ctx.k, h)]
-    total = sum(w for _, w in pairs)
-    if total != ctx.table.entry(m):
-        raise AssertionError(f"expansion weights at index {m} do not sum to the count")
-    ctx._weights[m] = pairs
-    return pairs
+    values = ctx.table.values
+    return [(s, c * values[m - s]) for s, c in exact._coefficients(ctx.k, m - ctx.table.offset)]
 
 
 def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
@@ -178,23 +178,22 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     k = ctx.k
     if ctx.table.g(n) == 0:
         raise ValueError(f"no {k}-ary tree has size {n}")
-    # table indices of size n and of the root tree (H-index 1)
-    index = (n - 1) // (k - 1) + ctx.table.offset
-    base_index = 1 + ctx.table.offset
+    H = ctx.table.values[ctx.table.offset :]
 
-    # walk the recurrence down, drawing one expansion cardinality per level
+    # walk the recurrence down from the H-index of size n to 1, drawing per
+    # level the first s whose cumulative weight exceeds r, uniform below H[h]
     takes: list[int] = []
-    m = index
-    while m > base_index:
-        r = _randbelow(ctx.rng, ctx.table.entry(m))
+    h = (n - 1) // (k - 1)
+    while h > 1:
+        r = _randbelow(ctx.rng, H[h])
         acc = 0
-        for s, w in _expansion_weights(ctx, m):
-            acc += w
+        for s, c in exact._coefficients(k, h):
+            acc += c * H[h - s]
             if r < acc:
                 takes.append(s)
-                m -= s
+                h -= s
                 break
-        else:  # pragma: no cover - unreachable, weights sum to the entry
+        else:  # pragma: no cover - unreachable, create checked the weights
             raise AssertionError("cumulative walk fell through")
 
     # grow back up on a flat state, drawing a uniform leaf subset per step;

@@ -46,6 +46,11 @@ COMMANDS = [
     "scaled --kind a --upto 1000 --digits 15",
     "estimate eta --method integral --N 1200 --digits 15",
     "estimate eta --N 3000",
+    # seeded samples beyond sample_golden.json's sizes; k = 1000 takes the
+    # math.comb side of the recurrence binomials at every level
+    "sample --n 600 --count 2 --seed 5 --format encoding",
+    "sample --k 3 --n 401 --count 3 --seed 5 --format encoding",
+    "sample --k 1000 --n 9991 --count 3 --format encoding",
 ]
 
 

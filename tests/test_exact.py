@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from witrees import exact
+from witrees import exact, sampler
 from witrees.exact import (
     CountTable,
     GuardExceeded,
@@ -275,12 +275,11 @@ def test_residues_follow_the_exact_recurrence():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)), st.integers(0, 80),
-       st.none() | st.integers(1, 40))
-def test_stepped_coefficients_equal_library_binomials(k, m, stop):
-    last = exact.kary_smax(m, k) if stop is None else min(exact.kary_smax(m, k), stop - 1)
+@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)), st.integers(0, 80))
+def test_stepped_coefficients_equal_library_binomials(k, m):
+    last = exact.kary_smax(m, k)
     expected = [(s, math.comb(1 + (m - s) * (k - 1), s)) for s in range(1, last + 1)]
-    assert list(exact._coefficients(k, m, stop)) == expected
+    assert list(exact._coefficients(k, m)) == expected
 
 
 # ---------------------------------------------------------------- brute force
@@ -318,6 +317,21 @@ def test_brute_force_guard_boundary():
     with pytest.raises(GuardExceeded, match="more than 213 trees of size 6"):
         brute_force_count(2, 6, guard=213)
     assert brute_force_count(2, 6, guard=214) == 214
+
+
+@pytest.mark.parametrize("run, n", [
+    (brute_force_count, 12), (brute_force_count, 300), (brute_force_count, 1200),
+    (enumerate_all, 12),
+], ids=["brute-12", "brute-300", "brute-1200", "enumerate-12"])
+def test_guard_refuses_before_the_walk(monkeypatch, run, n):
+    # the count is read from the table up front: a size past the guard
+    # raises without growing a tree, and a deep one without recursing
+    def no_growth(*args):
+        raise AssertionError("the walk expanded a leaf")
+
+    monkeypatch.setattr(sampler, "_grow_flat", no_growth)
+    with pytest.raises(GuardExceeded, match=f"more than 2000000 trees of size {n};"):
+        run(2, n)
 
 
 def test_brute_force_detects_repeated_encodings(monkeypatch):

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from witrees import exact
+from witrees.exact import CountTable
 from witrees.sampler import (
     SamplerContext,
     _expansion_weights,
@@ -177,6 +180,38 @@ def test_expansion_weights_normalize_exactly():
     ctx3 = SamplerContext.create(3, 81, seed=0)
     for m in range(2, 41):
         assert sum(w for _, w in _expansion_weights(ctx3, m)) == ctx3.table.entry(m)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_create_refuses_a_table_that_breaks_the_recurrence(monkeypatch, k):
+    # one entry off by one: the normalization check in create names the
+    # first index whose weights miss it, before a context exists to sample
+    real = exact.count_upto_size
+
+    def bumped(k, n):
+        table = real(k, n)
+        values = list(table.values)
+        values[10] += 1
+        return CountTable(table.k, table.kind, table.route, tuple(values))
+
+    monkeypatch.setattr(exact, "count_upto_size", bumped)
+    with pytest.raises(AssertionError, match="expansion weights at index 10 do not sum"):
+        SamplerContext.create(k, 1 + 20 * (k - 1), seed=0)
+
+
+def test_sampling_holds_no_per_index_state():
+    # with the table built beforehand, create and the samples allocate one
+    # index's weights at a time, not a cache of every visited index
+    exact.count_upto_size(2, 600)
+    tracemalloc.start()
+    try:
+        ctx = SamplerContext.create(2, 600, seed=5)
+        for _ in range(5):
+            sample_uniform(ctx, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_sampled_distribution_uniform_n5():
