@@ -70,8 +70,10 @@ def _table_bits(k: int, M: int) -> float:
 
 
 def _cubic_bits(k: int, M: int) -> float:
-    """About M rows of a table: held by the label-stratified table and the
-    series route's binomials, multiplied by the sampler's weight check."""
+    """About M rows of a table: held by the label-stratified table, and
+    multiplied by the series route's sweep and the sampler's weight check
+    (work, not memory, kept so that an accepted size does not run for
+    hours)."""
     return 2 * max(M, 0) * _table_bits(k, M) / 3
 
 

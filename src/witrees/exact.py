@@ -13,9 +13,11 @@ Three independent routes are implemented:
   The tables sum it by columns j = m - s, each holding H_j C(a_j, m-j), so
   a term costs a multiply and an exact division by small ints.
 
-* ``count_binary_funceq``: fixed-point iteration of the generating-function
-  equation B(z) = z^2 + B(z + z^2) - B(z) on truncated series; each
-  iteration recomputes only the degrees above the lowest one that changed.
+* ``count_binary_funceq``: the generating-function equation
+  B(z) = z^2 + B(z + z^2) - B(z) read off degree by degree in one ascending
+  sweep, since each coefficient depends only on lower ones; the truncated
+  series is then checked against the equation by composing B(z + z^2)
+  with Horner's rule, which uses no binomial.
 
 * ``brute_force_count``: exhaustive generation of all growth histories
   (delegated to :mod:`witrees.sampler`), feasible for small sizes only.
@@ -29,7 +31,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 
 #: Refuse brute-force runs expected to produce more trees than this.
 DEFAULT_TREE_GUARD = 2_000_000
@@ -139,40 +141,39 @@ def count_binary_upto(N: int) -> CountTable:
     return CountTable(2, "B", ROUTE_RECURRENCE, (0, *_h_counts(2, N - 1)))
 
 
-def count_binary_funceq(N: int, max_iterations: int | None = None) -> CountTable:
-    """Exact B_0..B_N by iterating the generating-function fixed point.
+def count_binary_funceq(N: int) -> CountTable:
+    """Exact B_0..B_N from the generating-function equation, then checked by it.
 
-    The update S <- z^2 + S(z + z^2) - S is applied to series truncated at
-    degree N, starting from the zero series.  Reading off degree n, the
-    substitution contributes sum_{p >= ceil(n/2)} S_p C(p, n-p), whose
-    diagonal term S_n cancels against the subtracted series, so every
-    coefficient depends only on strictly lower ones and freezes after
-    finitely many iterations.  Exceeding the iteration budget therefore
-    signals an implementation bug, not a numerical failure.
+    Reading off degree n of S(z) = z^2 + S(z + z^2) - S(z), the
+    substitution contributes sum_{p >= ceil(n/2)} C(p, n-p) S_p, whose
+    diagonal term S_n cancels against the subtracted series, so
 
-    Since degree n reads only degrees below n, an iterate that agrees with
-    the previous one below degree ``first`` maps to itself up to degree
-    ``first``, so each iteration recomputes only the degrees above it.
+        S_n = [n = 2] + sum_{p=ceil(n/2)}^{n-1} C(p, n-p) S_p.
+
+    Every coefficient depends only on lower ones, so one ascending sweep
+    writes each one final; the binomials of a degree are taken with
+    math.comb as it is summed.  The table is then checked against the
+    equation itself: S(z + z^2) mod z^(N+1) is composed by Horner's rule,
+    U <- U (z + z^2) + S_p for p = N..0, which shifts and adds and uses no
+    binomial, and 2 S_n = [n = 2] + U_n must hold at every degree.  That
+    system has exactly one solution, so a table that passes is the series
+    of B; one that fails raises RuntimeError naming the first bad degree.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    budget = max_iterations if max_iterations is not None else N + 2
-    # substitution weights C(p, n-p), p = ceil(n/2)..n-1, are iteration-independent
-    weights = [[math.comb(p, n - p) for p in range((n + 1) // 2, n)] for n in range(N + 1)]
-    cur = [0] * (N + 1)
-    first = 2
-    for _ in range(budget):
-        new = cur[:]
-        new[2] = 1
-        for n in range(first + 1, N + 1):
-            new[n] = sum(map(mul, cur[(n + 1) // 2 : n], weights[n]))
-        first = next((n for n in range(2, N + 1) if new[n] != cur[n]), None)
-        if first is None:
-            return CountTable(2, "B", ROUTE_FUNCEQ, tuple(cur))
-        cur = new
-    raise RuntimeError(
-        f"series fixed point did not stabilize within {budget} iterations"
-    )
+    S = [0, 0, 1] + [0] * (N - 2)
+    for n in range(3, N + 1):
+        lo = (n + 1) // 2
+        S[n] = sum(map(mul, S[lo:n], map(math.comb, range(lo, n), range(n - lo, 0, -1))))
+    # U holds degrees 0..N-p of sum_{q >= p} S_q (z + z^2)^(q-p); the rest
+    # lands above degree N once the remaining p factors are applied
+    U: list[int] = []
+    for p in range(N, -1, -1):
+        U = [S[p], *map(add, U, [0, *U[:-1]])]
+    for n in range(N + 1):
+        if 2 * S[n] != (n == 2) + U[n]:
+            raise RuntimeError(f"series fails B(z) = z^2 + B(z + z^2) - B(z) at degree {n}")
+    return CountTable(2, "B", ROUTE_FUNCEQ, tuple(S))
 
 
 def count_by_max_label(N: int) -> LabelStratifiedTable:

@@ -75,38 +75,51 @@ def test_funceq_matches_recurrence_300(btab300):
     assert tab.route == "functional-equation"
 
 
-def test_funceq_budget_error():
-    with pytest.raises(RuntimeError, match="stabilize"):
-        count_binary_funceq(40, max_iterations=5)
-
-
 def _full_funceq_iterations(N):
-    """Reference: the fixed-point loop recomputing every degree each time.
+    """Reference: the fixed-point loop S <- z^2 + S(z + z^2) - S from the
+    zero series, recomputing every degree each round.
 
-    Returns the number of iterations after which it stops and the series.
+    Returns every iterate, the zero series first, up to the one that the
+    next round reproduces.
     """
     weights = [[(p, math.comb(p, n - p)) for p in range((n + 1) // 2, n)]
                for n in range(N + 1)]
-    cur, iterations = [0] * (N + 1), 0
+    iterates = [[0] * (N + 1)]
     while True:
-        iterations += 1
-        new = [0] * (N + 1)
+        cur, new = iterates[-1], [0] * (N + 1)
         new[2] = 1
         for n in range(3, N + 1):
             new[n] = sum(cur[p] * w for p, w in weights[n] if cur[p])
         if new == cur:
-            return iterations, cur
-        cur = new
+            return iterates
+        iterates.append(new)
 
 
-def test_funceq_takes_the_iterations_of_the_full_loop():
-    # recomputing only the degrees above the lowest change gives the same
-    # iterates, so the smallest budget that succeeds does not move
+def test_funceq_equals_the_full_loop():
     for N in range(2, 61):
-        iterations, series = _full_funceq_iterations(N)
-        assert count_binary_funceq(N, max_iterations=iterations).values == tuple(series)
-        with pytest.raises(RuntimeError, match="stabilize"):
-            count_binary_funceq(N, max_iterations=iterations - 1)
+        assert count_binary_funceq(N).values == tuple(_full_funceq_iterations(N)[-1])
+
+
+def test_funceq_iterates_count_trees_by_max_label(bmn60):
+    # the t-th round of the loop holds, at degree n, the trees of size n
+    # whose labels are all at most t: sum_{m <= t} B_{m,n}
+    N = 30
+    for t, iterate in enumerate(_full_funceq_iterations(N)):
+        for n in range(2, N + 1):
+            assert iterate[n] == sum(bmn60.entry(m, n) for m in range(1, t + 1)), (t, n)
+
+
+def test_funceq_names_the_degree_a_wrong_binomial_breaks(monkeypatch):
+    # C(20, 17) is read only at degree 37; the Horner check of the
+    # equation uses no binomial, so it sees the wrong coefficient
+    real = math.comb
+
+    def corrupted(p, q):
+        return real(p, q) + ((p, q) == (20, 17))
+
+    monkeypatch.setattr(math, "comb", corrupted)
+    with pytest.raises(RuntimeError, match=r"at degree 37$"):
+        count_binary_funceq(60)
 
 
 # ---------------------------------------------------------------- stratification
