@@ -51,6 +51,9 @@ COMMANDS = [
     "sample --n 600 --count 2 --seed 5 --format encoding",
     "sample --k 3 --n 401 --count 3 --seed 5 --format encoding",
     "sample --k 1000 --n 9991 --count 3 --format encoding",
+    # the two rendered sample formats, each walking the whole tree
+    "sample --n 64 --count 2 --seed 5 --format graph",
+    "sample --n 64 --count 2 --seed 5 --format text",
 ]
 
 
