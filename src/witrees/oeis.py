@@ -9,7 +9,6 @@ sequence, i.e. count(n) = a(n - s) for every n in the overlapping range.
 from __future__ import annotations
 
 import re
-import urllib.request
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +84,8 @@ def fetch_bfile(seq_id: str, dest_path: str, timeout: float = 30.0) -> str:
     The write is atomic: a failure leaves no file at ``dest_path``, never a
     truncated b-file that a later check would read as the catalogue.
     """
+    import urllib.request  # deferred: it loads http, email and ssl
+
     url = bfile_url(seq_id)
     req = urllib.request.Request(url, headers={"User-Agent": "witrees/0.1"})
     with urllib.request.urlopen(req, timeout=timeout) as resp:

@@ -3,11 +3,12 @@
 ``enumerate_all`` materializes every weakly increasing tree of a given size
 by running all growth histories; each tree appears exactly once because a
 tree determines its history.  The histories are walked depth first on one
-flat ``GrowingTree``: a leaf subset is expanded in place, the walk
-recurses, and the step is undone.  At each finished tree the walk hands
-the state to a visitor, which ``enumerate_all`` freezes and
-``exact.brute_force_count`` encodes without building the tree; the tree
-guard is checked against the exact count before the walk starts.
+flat ``GrowingTree``, with the walk's frames on an explicit stack: a leaf
+subset is expanded in place, the walk descends, and the step is undone.
+At each finished tree the walk hands the state to a visitor, which
+``enumerate_all`` freezes and ``exact.brute_force_count`` encodes without
+building the tree; the tree guard is checked against the exact count
+before the walk starts.
 
 ``sample_uniform`` draws a tree exactly uniformly at random using the
 counting recurrence read as a probabilistic construction: a uniform tree
@@ -43,7 +44,6 @@ from .trees import (
     GrowingTree,
     _grow_flat,
     evolution_step,
-    iter_nodes,
     root_tree,
 )
 
@@ -51,14 +51,16 @@ from .trees import (
 def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     """Run every growth history to size ``n``, calling ``visit`` per tree.
 
-    One ``GrowingTree`` is walked depth first: each leaf subset is expanded
-    in place by ``_grow_flat``, the walk recurses, and the step is undone
-    by unlinking the new nodes, truncating ``labels`` and ``children`` and
-    restoring the saved leaf list.  Subsets are taken by increasing size,
-    then lexicographically by preorder leaf index.  ``visit`` gets the
-    state of each finished tree and must not change it.  Returns the number
-    of trees; first raises :class:`GuardExceeded` if H_min(m, 64) for n's
-    H-index m exceeds ``guard`` (H rises with m; H_64 passes any guard).
+    One ``GrowingTree`` is walked depth first on an explicit stack of
+    frames, so a deep history needs no recursion.  Each frame expands its
+    leaf subsets in place by ``_grow_flat`` one at a time, walks below
+    each, and undoes it by unlinking the new nodes, truncating ``labels``
+    and ``children`` and restoring the saved leaf list.  Subsets are taken
+    by increasing size, then lexicographically by preorder leaf index.
+    ``visit`` gets the state of each finished tree and must not change it.
+    Returns the number of trees; first raises :class:`GuardExceeded` if
+    H_min(m, 64) for n's H-index m exceeds ``guard`` (H rises with m; H_64
+    passes any guard).
     """
     if k < 2:
         raise ValueError("arity must be >= 2")
@@ -71,29 +73,41 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     if exact._h_counts(k, min((n - 1) // (k - 1), 64))[-1] > limit:
         raise GuardExceeded(f"more than {limit} trees of size {n}; raise the guard to proceed")
     state = GrowingTree(k)
+    if n == k:
+        visit(state)
+        return 1
     labels, children = state.labels, state.children
-    found = 0
 
-    def grow(label: int) -> None:
-        nonlocal found
-        leaves = state.leaves
-        size = len(leaves)
+    def subsets(size: int):
+        return itertools.chain.from_iterable(
+            itertools.combinations(range(size), take)
+            for take in range(1, (n - size) // (k - 1) + 1)
+        )
+
+    # a frame: the subsets still to try, the leaf list and node count to
+    # restore, the label its steps use, and the subset now expanded
+    found = 0
+    frames = [[subsets(k), state.leaves, 1, 2, ()]]
+    while frames:
+        frame = frames[-1]
+        remaining, leaves, top, label, applied = frame
+        for i in applied:
+            parent, slot = leaves[i]
+            children[parent][slot] = -1
+        del labels[top:], children[top:]
+        state.leaves = leaves
+        subset = next(remaining, None)
+        if subset is None:
+            frames.pop()
+            continue
+        _grow_flat(state, subset, label)
+        frame[4] = subset
+        size = len(state.leaves)
         if size == n:
             found += 1
             visit(state)
-            return
-        top = len(labels)
-        for take in range(1, (n - size) // (k - 1) + 1):
-            for subset in itertools.combinations(range(size), take):
-                _grow_flat(state, subset, label)
-                grow(label + 1)
-                for i in subset:
-                    parent, slot = leaves[i]
-                    children[parent][slot] = -1
-                del labels[top:], children[top:]
-                state.leaves = leaves
-
-    grow(2)
+        else:
+            frames.append([subsets(size), state.leaves, len(labels), label + 1, ()])
     return found
 
 
@@ -148,12 +162,20 @@ def _randbelow(rng: random.Random, bound: int) -> int:
 
 
 def _subset_indices(rng: random.Random, population: int, take: int) -> list[int]:
-    """Uniform ``take``-subset of range(population) via Fisher-Yates prefix."""
-    idx = list(range(population))
+    """Uniform ``take``-subset of range(population) via Fisher-Yates prefix.
+
+    The shuffle runs on a dict of the positions it has displaced instead of
+    a list of the whole population, so it costs O(take); the draws, and so
+    the subset, are those of the dense shuffle.
+    """
+    moved: dict[int, int] = {}
+    chosen = []
     for i in range(take):
         j = i + _randbelow(rng, population - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:take])
+        # swap positions i and j; position i is final from here on
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return sorted(chosen)
 
 
 def _expansion_weights(ctx: SamplerContext, m: int) -> list[tuple[int, int]]:
@@ -201,9 +223,12 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     # split of perfbench's tracer, which hooks that function
     root_tree(k)
     state = GrowingTree(k)
+    rng = ctx.rng
+    size, label = k, 1
     for take in reversed(takes):
-        chosen = _subset_indices(ctx.rng, state.size, take)
-        state = evolution_step(state, chosen, state.max_label + 1)
+        label += 1
+        evolution_step(state, _subset_indices(rng, size, take), label)
+        size += take * (k - 1)
     return state.freeze()
 
 
@@ -221,11 +246,5 @@ def tree_statistics(t: CompletedTree) -> TreeStatistics:
     Depth counts labeled nodes on the longest root-to-bullet path, so the
     one-node root tree has depth 1.
     """
-    node_count = 0
-    max_label = 0
-    depth = 0
-    for path, node in iter_nodes(t.root):
-        node_count += 1
-        max_label = max(max_label, node.label)
-        depth = max(depth, len(path) + 1)
-    return TreeStatistics(t.size, node_count, max_label, depth)
+    size, node_count, max_label, depth = t._counts
+    return TreeStatistics(size, node_count, max(0, max_label), depth)

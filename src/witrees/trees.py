@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Optional, Union
 
 
@@ -143,13 +144,17 @@ class CompletedTree:
     root: Node
 
     @cached_property
+    def _counts(self) -> tuple[int, int, int, int]:
+        return _tally(self.root)
+
+    @property
     def size(self) -> int:
         """Number of bullet-leaves."""
-        return sum(1 for _ in bullet_positions(self.root))
+        return self._counts[0]
 
-    @cached_property
+    @property
     def max_label(self) -> int:
-        return max(node.label for _, node in iter_nodes(self.root))
+        return self._counts[2]
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,31 @@ def iter_nodes(root: Node) -> Iterator[tuple[Path, Node]]:
             child = node.slots[i]
             if isinstance(child, Node):
                 stack.append((path + (i,), child))
+
+
+def _tally(root: Node) -> tuple[int, int, int, int]:
+    """(bullets, labeled nodes, maximal label, depth) of a subtree.
+
+    One walk, level by level, so the depth is the number of levels and no
+    node needs its path or depth stored.
+    """
+    bullets = nodes = depth = 0
+    top = root.label
+    level = [root]
+    while level:
+        depth += 1
+        nodes += len(level)
+        below = []
+        for node in level:
+            if node.label > top:
+                top = node.label
+            for slot in node.slots:
+                if slot is BULLET:
+                    bullets += 1
+                elif isinstance(slot, Node):
+                    below.append(slot)
+        level = below
+    return bullets, nodes, top, depth
 
 
 def bullet_positions(root: Node) -> list[Path]:
@@ -221,41 +251,62 @@ def node_at(root: Node, path: Path) -> Slot:
     return current
 
 
+def _path_of(root: Node, target: Node) -> Path:
+    """Path of ``target``'s first occurrence in preorder (by identity)."""
+    return next(path for path, node in iter_nodes(root) if node is target)
+
+
 def validate(tree: LabeledTree, arity: int) -> ValidationResult:
     """Check the two defining label constraints for the given arity.
 
     Structural problems (a node whose slot tuple does not have exactly
     ``arity`` entries, or a non-positive label) are reported as kind
     ``"malformed"``, distinct from the label-constraint violations.
+
+    The nodes are checked in preorder on a stack of bare nodes; the first
+    violation is reported, and only then is its node's path built, by a
+    second preorder walk that stops at that node.
     """
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
+    root = tree.root
     labels: set[int] = set()
-    for path, node in iter_nodes(tree.root):
-        if len(node.slots) != arity:
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        label, slots = node.label, node.slots
+        if len(slots) != arity:
+            path = _path_of(root, node)
             return ValidationResult(
                 False, "malformed", path,
-                f"node at {path!r} has {len(node.slots)} slots, expected {arity}",
+                f"node at {path!r} has {len(slots)} slots, expected {arity}",
             )
-        if not isinstance(node.label, int) or node.label < 1:
+        if not isinstance(label, int) or label < 1:
+            path = _path_of(root, node)
             return ValidationResult(
                 False, "malformed", path,
-                f"node at {path!r} has invalid label {node.label!r}",
+                f"node at {path!r} has invalid label {label!r}",
             )
-        labels.add(node.label)
-        for i, slot in enumerate(node.slots):
-            if isinstance(slot, Node) and slot.label <= node.label:
+        labels.add(label)
+        for slot in slots:
+            if isinstance(slot, Node) and slot.label <= label:
+                # an equal slot before it would have failed first
+                path = _path_of(root, node) + (slots.index(slot),)
                 return ValidationResult(
-                    False, "label-order", path + (i,),
-                    f"label {slot.label} at {path + (i,)!r} does not exceed parent label {node.label}",
+                    False, "label-order", path,
+                    f"label {slot.label} at {path!r} does not exceed parent label {label}",
                 )
+        for slot in reversed(slots):
+            if isinstance(slot, Node):
+                push(slot)
     m = max(labels)
     if len(labels) != m:
         # the gap is at most len(labels) + 1: O(nodes), not O(m)
         gap = 1
         while gap in labels:
             gap += 1
-        witness = next(p for p, nd in iter_nodes(tree.root) if nd.label > gap)
+        witness = next(p for p, nd in iter_nodes(root) if nd.label > gap)
         return ValidationResult(
             False, "label-gap", witness,
             f"label {gap} is missing although {m} occurs (witness node at {witness!r})",
@@ -328,38 +379,50 @@ class GrowingTree:
         and are built first when ids are visited in descending order.
         """
         labels, children = self.labels, self.children
+        # nodes without children share one all-bullet slot tuple
+        childless, bullets = [-1] * self.arity, (BULLET,) * self.arity
         nodes: list = [None] * len(labels)
         for v in range(len(labels) - 1, -1, -1):
-            nodes[v] = Node(
-                labels[v], tuple(BULLET if c < 0 else nodes[c] for c in children[v])
-            )
+            kids = children[v]
+            if kids == childless:
+                slots = bullets
+            else:
+                slots = tuple([BULLET if c < 0 else nodes[c] for c in kids])
+            nodes[v] = Node(labels[v], slots)
         return CompletedTree(self.arity, nodes[0])
 
 
 def _grow_flat(t: GrowingTree, leaf_indices, next_label: int) -> GrowingTree:
-    if next_label != t.max_label + 1:
-        raise ValueError(f"next label must be {t.max_label + 1}, got {next_label}")
-    k, leaves = t.arity, t.leaves
-    # a new node's k bullets take the place of the expanded bullet in preorder
-    expanded: list[tuple[int, int]] = []
-    spliced: list[tuple[int, int]] = []
+    labels, children, leaves = t.labels, t.children, t.leaves
+    if next_label != labels[-1] + 1:
+        raise ValueError(f"next label must be {labels[-1] + 1}, got {next_label}")
+    k = t.arity
+    # one pass: link each new node and put its k bullets in the place of
+    # the expanded bullet in preorder, which the earlier ones moved right
+    top = node = len(labels)
+    spliced = leaves.copy()
     start = 0
-    for i in leaf_indices:
-        if not start <= i < len(leaves):
-            raise ValueError(f"leaf indices must increase within [0, {len(leaves)})")
-        node = len(t.labels) + len(expanded)
-        expanded.append(leaves[i])
-        spliced += leaves[start:i]
-        spliced += [(node, j) for j in range(k)]
-        start = i + 1
-    if not expanded:
-        raise ValueError("leaf subset must be nonempty")
-    # link only once every index is checked, so a rejected step changes nothing
-    for node, (parent, slot) in enumerate(expanded, len(t.labels)):
-        t.children[parent][slot] = node
-    t.labels += [next_label] * len(expanded)
-    t.children += [[-1] * k for _ in expanded]
-    spliced += leaves[start:]
+    try:
+        for i in leaf_indices:
+            if not start <= i < len(leaves):
+                raise ValueError(f"leaf indices must increase within [0, {len(leaves)})")
+            parent, slot = leaves[i]
+            children[parent][slot] = node
+            labels.append(next_label)
+            children.append([-1] * k)
+            at = i + (node - top) * (k - 1)
+            spliced[at : at + 1] = zip(repeat(node, k), range(k))
+            node += 1
+            start = i + 1
+        if node == top:
+            raise ValueError("leaf subset must be nonempty")
+    except BaseException:
+        # a rejected step changes nothing: drop the nodes added so far
+        for parent, slot in leaves:
+            if children[parent][slot] >= top:
+                children[parent][slot] = -1
+        del labels[top:], children[top:]
+        raise
     t.leaves = spliced
     return t
 
@@ -442,17 +505,25 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     out = bytearray()
     _write_varint(out, k)
     stack = [t.root]
+    pop, push = stack.pop, stack.append
     while stack:
-        node = stack.pop()
-        _write_varint(out, node.label)
+        node = pop()
+        label, slots = node.label, node.slots
+        if label < 0x80:  # a one-byte varint
+            out.append(label)
+        else:
+            _write_varint(out, label)
         mask = 0
-        for i, slot in enumerate(node.slots):
+        i = len(slots)
+        for slot in reversed(slots):
+            i -= 1
             if isinstance(slot, Node):
                 mask |= 1 << i
-        out.extend(mask.to_bytes(mask_len, "little"))
-        for slot in reversed(node.slots):
-            if isinstance(slot, Node):
-                stack.append(slot)
+                push(slot)
+        if mask_len == 1:
+            out.append(mask)
+        else:
+            out += mask.to_bytes(mask_len, "little")
     return bytes(out)
 
 
@@ -464,16 +535,26 @@ def _encode_flat(t: GrowingTree) -> bytes:
     out = bytearray()
     _write_varint(out, k)
     stack = [0]
+    pop, push = stack.pop, stack.append
+    backwards = range(k - 1, -1, -1)
     while stack:
-        v = stack.pop()
-        _write_varint(out, labels[v])
+        v = pop()
+        label = labels[v]
+        if label < 0x80:  # a one-byte varint
+            out.append(label)
+        else:
+            _write_varint(out, label)
         kids = children[v]
         mask = 0
-        for i in range(k - 1, -1, -1):
-            if kids[i] >= 0:
+        for i in backwards:
+            c = kids[i]
+            if c >= 0:
                 mask |= 1 << i
-                stack.append(kids[i])
-        out += mask.to_bytes(mask_len, "little")
+                push(c)
+        if mask_len == 1:
+            out.append(mask)
+        else:
+            out += mask.to_bytes(mask_len, "little")
     return bytes(out)
 
 
@@ -491,25 +572,37 @@ def decode_encoding(data: bytes) -> CompletedTree:
     # read the nodes in preorder until no announced child is left unread
     labels: list[int] = []
     masks: list[int] = []
+    end = len(data)
     pending = 1
     while pending:
-        label, pos = _read_varint(data, pos)
-        if pos + mask_len > len(data):
+        if pos < end and data[pos] < 0x80:  # a one-byte varint
+            label = data[pos]
+            pos += 1
+        else:
+            label, pos = _read_varint(data, pos)
+        if pos + mask_len > end:
             raise ValueError("truncated encoding: mask runs past end")
-        mask = int.from_bytes(data[pos : pos + mask_len], "little")
+        if mask_len == 1:
+            mask = data[pos]
+        else:
+            mask = int.from_bytes(data[pos : pos + mask_len], "little")
         pos += mask_len
         if mask >> k:
             raise ValueError("mask has bits beyond the arity")
         labels.append(label)
         masks.append(mask)
         pending += mask.bit_count() - 1
-    if pos != len(data):
-        raise ValueError(f"{len(data) - pos} trailing bytes after encoding")
+    if pos != end:
+        raise ValueError(f"{end - pos} trailing bytes after encoding")
     # build bottom-up in reverse preorder: a node's subtrees were built just
     # before it, and its first child's subtree is on top of the stack
     built: list[Node] = []
+    bullets = (BULLET,) * k  # shared by the nodes without children
     for label, mask in zip(reversed(labels), reversed(masks)):
-        slots = tuple(built.pop() if mask >> i & 1 else BULLET for i in range(k))
+        if mask:
+            slots = tuple([built.pop() if mask >> i & 1 else BULLET for i in range(k)])
+        else:
+            slots = bullets
         built.append(Node(label, slots))
     tree = CompletedTree(k, built[0])
     result = validate(tree, k)

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -203,6 +205,21 @@ def test_bfile_url():
     assert bfile_url("A171792") == "https://oeis.org/A171792/b171792.txt"
     with pytest.raises(ValueError):
         bfile_url("171792")
+
+
+def test_import_loads_no_http_stack():
+    # urllib.request pulls in http, email and ssl; only a fetch needs them
+    import witrees
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(witrees.__file__)))
+    code = (
+        "import sys, witrees, witrees.cli; "
+        "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 class FakeResponse(io.BytesIO):

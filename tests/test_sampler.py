@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -11,9 +12,11 @@ from witrees import exact
 from witrees.exact import CountTable
 from witrees.sampler import (
     SamplerContext,
+    TreeStatistics,
     _expansion_weights,
     _randbelow,
     _subset_indices,
+    _walk_histories,
     enumerate_all,
     sample_uniform,
     tree_statistics,
@@ -24,11 +27,12 @@ from witrees.trees import (
     complete,
     decode_encoding,
     evolution_step,
+    iter_nodes,
     root_tree,
     validate,
 )
 from tests.conftest import FIXTURES
-from tests.test_trees import figure_tree, strip
+from tests.test_trees import binary_chain_encoding, evolution_histories, figure_tree, strip
 
 
 # ---------------------------------------------------------------- enumeration
@@ -69,6 +73,19 @@ def test_enumeration_order_is_pinned(k, n, digest):
     for t in enumerate_all(k, n):
         h.update(canonical_encoding(t))
     assert h.hexdigest() == digest
+
+
+def test_deep_history_walk_needs_no_recursion():
+    # the first history expands leaf 0 at every step: 1198 steps deep
+    class FirstTree(Exception):
+        pass
+
+    def visit(state):
+        assert (state.size, state.max_label) == (1200, 1199)
+        raise FirstTree
+
+    with pytest.raises(FirstTree):
+        _walk_histories(2, 1200, 10**4000, visit)
 
 
 def test_enumerate_trees_are_valid_and_distinct():
@@ -160,6 +177,26 @@ def test_seeded_samples_match_the_golden_file():
         drawn = [canonical_encoding(sample_uniform(ctx, case["n"])).hex()
                  for _ in case["encodings"]]
         assert drawn == case["encodings"], case
+
+
+def dense_subset_indices(rng, population, take):
+    """The Fisher-Yates prefix on a list of the whole population."""
+    idx = list(range(population))
+    for i in range(take):
+        j = i + _randbelow(rng, population - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:take])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 600), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_subset_shuffle_matches_the_dense_one(seed, population, data):
+    take = data.draw(st.integers(1, population))
+    sparse, dense = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        chosen = _subset_indices(sparse, population, take)
+        assert chosen == dense_subset_indices(dense, population, take)
+    assert sparse.getstate() == dense.getstate()
 
 
 def test_sample_zero_count_sizes_rejected():
@@ -269,6 +306,38 @@ def test_statistics_consistency_kary():
     t = sample_uniform(ctx, 13)
     stats = tree_statistics(t)
     assert stats.size == 2 * stats.node_count + 1 == 13
+
+
+def reference_statistics(t):
+    """Size, node count, maximal label and depth read from the path walks."""
+    nodes = list(iter_nodes(t.root))
+    return (
+        len(bullet_positions(t.root)),
+        len(nodes),
+        max(0, *(node.label for _, node in nodes)),
+        max(len(path) + 1 for path, _ in nodes),
+    )
+
+
+@st.composite
+def sampled_trees(draw):
+    k = draw(st.integers(2, 5))
+    n = 1 + (k - 1) * draw(st.integers(1, 80))
+    return k, sample_uniform(SamplerContext.create(k, n, draw(st.integers(0, 2**32 - 1))), n)
+
+
+@given(evolution_histories() | sampled_trees())
+@settings(max_examples=150, deadline=None)
+def test_counts_match_the_path_walks(kt):
+    _, t = kt
+    size, node_count, max_label, depth = reference_statistics(t)
+    assert (t.size, t.max_label) == (size, max_label)
+    assert tree_statistics(t) == TreeStatistics(size, node_count, max_label, depth)
+
+
+def test_counts_of_a_deep_chain():
+    t = decode_encoding(binary_chain_encoding(range(1, 3001)))
+    assert tree_statistics(t) == TreeStatistics(3001, 3000, 3000, 3000)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 40))

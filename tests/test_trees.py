@@ -12,11 +12,13 @@ from witrees.trees import (
     GrowingTree,
     LabeledTree,
     Node,
+    ValidationResult,
     bullet_positions,
     canonical_encoding,
     complete,
     decode_encoding,
     evolution_step,
+    iter_nodes,
     render_graph,
     render_indented,
     root_tree,
@@ -93,6 +95,134 @@ def test_validate_malformed_slot_count_distinct_kind():
 
 def test_validate_figure_tree():
     assert validate(figure_tree(), 2)
+
+
+def reference_validate(tree, arity):
+    """``validate`` as it was first written: every node carries its path."""
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
+    labels = set()
+    for path, node in iter_nodes(tree.root):
+        if len(node.slots) != arity:
+            return ValidationResult(
+                False, "malformed", path,
+                f"node at {path!r} has {len(node.slots)} slots, expected {arity}",
+            )
+        if not isinstance(node.label, int) or node.label < 1:
+            return ValidationResult(
+                False, "malformed", path,
+                f"node at {path!r} has invalid label {node.label!r}",
+            )
+        labels.add(node.label)
+        for i, slot in enumerate(node.slots):
+            if isinstance(slot, Node) and slot.label <= node.label:
+                return ValidationResult(
+                    False, "label-order", path + (i,),
+                    f"label {slot.label} at {path + (i,)!r} does not exceed parent label {node.label}",
+                )
+    m = max(labels)
+    if len(labels) != m:
+        gap = 1
+        while gap in labels:
+            gap += 1
+        witness = next(p for p, nd in iter_nodes(tree.root) if nd.label > gap)
+        return ValidationResult(
+            False, "label-gap", witness,
+            f"label {gap} is missing although {m} occurs (witness node at {witness!r})",
+        )
+    return ValidationResult(True)
+
+
+def outcome(check, tree, arity):
+    """The result of ``check``, or the type and text of what it raised."""
+    try:
+        return check(tree, arity)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CORRUPTIONS = ("order", "slots", "label", "gap", "share")
+
+
+@st.composite
+def corrupted_trees(draw, tree):
+    """``tree`` rebuilt with up to three nodes corrupted.
+
+    A corruption lowers some children's labels to at most their parent's
+    (each to its own value), adds or drops a
+    slot, sets a label of 0, a negative, a float or a string, raises every
+    label above a threshold by one (a gap), or hangs one child subtree in
+    every child slot of its parent (the same node object twice).
+    """
+    order = [node for _, node in iter_nodes(tree.root)]
+    inner = [i for i, node in enumerate(order) if any(isinstance(s, Node) for s in node.slots)]
+    hits = {}
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(CORRUPTIONS))
+        # the two corruptions of a node's children need a node that has some
+        where = inner if how in ("order", "share") and inner else range(len(order))
+        hits[draw(st.sampled_from(where))] = how
+    above = draw(st.integers(1, max(node.label for node in order)))
+    gap = "gap" in hits.values()
+    built = {}
+    for index in range(len(order) - 1, -1, -1):
+        node = order[index]
+        label = node.label + 1 if gap and node.label >= above else node.label
+        slots = [built[id(s)] if isinstance(s, Node) else s for s in node.slots]
+        how = hits.get(index)
+        if how == "order":
+            every = draw(st.booleans())
+            slots = [Node(draw(st.integers(0, label)), s.slots)
+                     if isinstance(s, Node) and (every or draw(st.booleans())) else s
+                     for s in slots]
+        elif how == "slots":
+            if draw(st.booleans()) or len(slots) == 1:
+                slots.append(draw(st.sampled_from([None, BULLET])))
+            else:
+                slots.pop(draw(st.integers(0, len(slots) - 1)))
+        elif how == "label":
+            label = draw(st.sampled_from([0, -1, 2.5, float(label), "x"]))
+        elif how == "share":
+            kids = [s for s in slots if isinstance(s, Node)]
+            if kids:
+                slots = [kids[0] if isinstance(s, Node) else s for s in slots]
+        built[id(node)] = Node(label, tuple(slots))
+    root = built[id(order[0])]
+    return draw(st.sampled_from([LabeledTree(root), CompletedTree(len(root.slots), root)]))
+
+
+@st.composite
+def trees_to_validate(draw):
+    """An enumerated or sampled tree, as drawn or corrupted."""
+    from witrees.sampler import SamplerContext, enumerate_all, sample_uniform
+
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        n = 1 + (k - 1) * draw(st.integers(1, 4))
+        tree = draw(st.sampled_from(enumerate_all(k, n)))
+    else:
+        n = 1 + (k - 1) * draw(st.integers(1, 60))
+        tree = sample_uniform(SamplerContext.create(k, n, draw(st.integers(0, 2**32 - 1))), n)
+    if draw(st.booleans()):
+        tree = strip(tree)
+    return k, draw(st.one_of(st.just(tree), corrupted_trees(tree)))
+
+
+@given(trees_to_validate(), st.integers(-1, 1))
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_the_path_tracking_reference(kt, shift):
+    k, tree = kt
+    arity = max(1, k + shift)  # a wrong arity as well, and one below 2
+    assert outcome(validate, tree, arity) == outcome(reference_validate, tree, arity)
+
+
+def test_validate_reports_the_first_occurrence_of_a_shared_node():
+    # one node object in two places; its child breaks the label order
+    bad = bin_node(3, bin_node(3))
+    tree = LabeledTree(bin_node(1, bin_node(2, bad), bad))
+    result = validate(tree, 2)
+    assert result == reference_validate(tree, 2)
+    assert (result.kind, result.path) == ("label-order", (0, 0, 0))
 
 
 # ---------------------------------------------------------------- complete
