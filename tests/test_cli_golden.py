@@ -54,6 +54,9 @@ COMMANDS = [
     # the two rendered sample formats, each walking the whole tree
     "sample --n 64 --count 2 --seed 5 --format graph",
     "sample --n 64 --count 2 --seed 5 --format text",
+    # label-stratified counts B_{m,n}
+    "table --kind Bmn --upto 60 --out F",
+    "table --kind Bmn --upto 200 --out F",
 ]
 
 
