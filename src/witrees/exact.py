@@ -141,6 +141,15 @@ def count_binary_upto(N: int) -> CountTable:
     return CountTable(2, "B", ROUTE_RECURRENCE, (0, *_h_counts(2, N - 1)))
 
 
+def _series_row(n: int) -> tuple[int, list[int]]:
+    """lo = ceil(n/2) and [C(p, n-p) for p = lo..n-1]: z -> z + z^2 from degree p to n.
+
+    Both binary series builders read it; math.comb, not the recurrence route, fills it.
+    """
+    lo = (n + 1) // 2
+    return lo, list(map(math.comb, range(lo, n), range(n - lo, 0, -1)))
+
+
 def count_binary_funceq(N: int) -> CountTable:
     """Exact B_0..B_N from the generating-function equation, then checked by it.
 
@@ -151,8 +160,8 @@ def count_binary_funceq(N: int) -> CountTable:
         S_n = [n = 2] + sum_{p=ceil(n/2)}^{n-1} C(p, n-p) S_p.
 
     Every coefficient depends only on lower ones, so one ascending sweep
-    writes each one final; the binomials of a degree are taken with
-    math.comb as it is summed.  The table is then checked against the
+    writes each one final, summing against the binomial row of
+    :func:`_series_row`.  The table is then checked against the
     equation itself: S(z + z^2) mod z^(N+1) is composed by Horner's rule,
     U <- U (z + z^2) + S_p for p = N..0, which shifts and adds and uses no
     binomial, and 2 S_n = [n = 2] + U_n must hold at every degree.  That
@@ -163,8 +172,8 @@ def count_binary_funceq(N: int) -> CountTable:
         raise ValueError("N must be >= 2")
     S = [0, 0, 1] + [0] * (N - 2)
     for n in range(3, N + 1):
-        lo = (n + 1) // 2
-        S[n] = sum(map(mul, S[lo:n], map(math.comb, range(lo, n), range(n - lo, 0, -1))))
+        lo, row = _series_row(n)
+        S[n] = sum(map(mul, row, S[lo:n]))
     # U holds degrees 0..N-p of sum_{q >= p} S_q (z + z^2)^(q-p); the rest
     # lands above degree N once the remaining p factors are applied
     U: list[int] = []
@@ -180,23 +189,20 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     """All B_{m,n} for 1 <= m < n <= N.
 
     B_{1,2} = 1 is the lone seed; a tree whose maximal label is m arises
-    from a unique tree with maximal label m-1 by expanding l of its leaves,
-    which gives
+    from a unique tree with maximal label m-1 by expanding n-p of its p
+    leaves, so column m is the row of :func:`_series_row` times column m-1:
 
-        B_{m,n} = sum_{l=1}^{n-m+2} C(n-l, l) * B_{m-1, n-l}.
+        B_{m,n} = sum_{p=ceil(n/2)}^{n-1} C(p, n-p) * B_{m-1,p}.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    values: dict[tuple[int, int], int] = {(1, 2): 1}
+    B = [[0] * (N + 1) for _ in range(N)]  # B[m][n]
+    B[1][2] = 1
     for n in range(3, N + 1):
+        lo, row = _series_row(n)
         for m in range(2, n):
-            acc = 0
-            for l in range(1, n - m + 3):
-                prev = values.get((m - 1, n - l), 0)
-                if prev:
-                    acc += math.comb(n - l, l) * prev
-            if acc:
-                values[(m, n)] = acc
+            B[m][n] = sum(map(mul, row, B[m - 1][lo:n]))
+    values = {(m, n): B[m][n] for n in range(2, N + 1) for m in range(1, n) if B[m][n]}
     return LabelStratifiedTable(N, values)
 
 
@@ -207,10 +213,8 @@ def _coefficients(k: int, m: int):
     one place at O(min(s, k)) factors each: directly by math.comb while
     s < k, then from the previous one by C(a, s) =
     C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
-    They serve the one reader that needs one m at a time, the sampler: its
-    descent and the weight check of its context.  The tables and the
-    scaled ``h``/``a`` kernels step the same binomials along columns
-    instead (see :func:`_h_counts`).
+    Only the sampler reads them, one m at a time; the tables and the scaled
+    ``h``/``a`` kernels step the same binomials along columns instead.
     """
     a, c = 1 + (m - 1) * (k - 1), 0
     for s in range(1, kary_smax(m, k) + 1):
@@ -251,13 +255,10 @@ def _h_counts(k: int, M: int) -> list[int]:
     """H_0..H_M for arity k by the size recurrence (M >= 1).
 
     The recurrence is summed over columns j = m - s, as in
-    :func:`h_residues` but exactly: column j holds H_j C(a_j, m-j) with
-    a_j = 1 + j(k-1), and a step of m multiplies it by a_j - (m-1-j) =
-    jk + 2 - m and divides it, exactly, by m - j (:func:`_step_columns`).
-    So a term costs one multiply and one division by a small int, not a
-    product of two big ones, and a large arity builds as fast as a small
-    one.  Columns below m - kary_smax(m, k) no longer contribute and are
-    dropped.
+    :func:`h_residues` but exactly: column j holds H_j C(a_j, m-j), and
+    :func:`_step_columns` moves it to the next m by one multiply and one
+    exact division by small ints, not a product of two big ones.  So a
+    large arity builds as fast as a small one.
 
     A request within the longest list built so far for k is a slice of it;
     a longer one resumes at the end of that list, rebuilding the live
@@ -340,9 +341,8 @@ def brute_force_count(k: int, n: int, guard: int | None = None) -> int:
 
     Each finished tree's canonical encoding is written straight from the
     walk's flat state and kept; since every tree has a unique growth
-    history no encoding may repeat, and a repeat raises.  Aborts with
-    :class:`GuardExceeded` once more than ``guard`` trees of the target
-    size have been produced.
+    history no encoding may repeat, and a repeat raises.  When the size has
+    more than ``guard`` trees, :class:`GuardExceeded` is raised before the walk.
     """
     from . import sampler, trees  # deferred: sampler builds on this module
 

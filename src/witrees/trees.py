@@ -325,8 +325,14 @@ def complete(tree: LabeledTree, arity: int) -> CompletedTree:
         raise ValueError(f"invalid tree: {result.message}")
 
     # bottom-up in reverse preorder, as in decode_encoding: no recursion
+    order: list[Node] = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(x for x in reversed(node.slots) if isinstance(x, Node))
     built: list[Node] = []
-    for _, node in reversed(list(iter_nodes(tree.root))):
+    for node in reversed(order):
         slots = tuple(built.pop() if isinstance(s, Node) else BULLET for s in node.slots)
         built.append(Node(node.label, slots))
     return CompletedTree(arity, built[0])

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,41 @@ def test_stratified_seeds_and_small_values(bmn60):
 def test_stratified_row_sums_match_counts(bmn60, btab300):
     for n in range(2, 61):
         assert bmn60.row_sum(n) == btab300.entry(n)
+
+
+def _compose_with_z_plus_z2(c: list[int]) -> list[int]:
+    """c(z + z^2) truncated to len(c) terms, by Horner's rule: no binomial."""
+    U = [0] * len(c)
+    for cp in reversed(c):
+        U = [cp, *(U[i - 1] + (U[i - 2] if i > 1 else 0) for i in range(1, len(c)))]
+    return U
+
+
+def test_stratified_entries_match_repeated_substitution(bmn60):
+    # B_1(z) = z^2 and B_m(z) = B_{m-1}(z + z^2) - B_{m-1}(z): each
+    # expansion step substitutes z + z^2 once, and the subtraction drops
+    # the trees in which no leaf was expanded
+    N = 60
+    Bm = [0, 0, 1] + [0] * (N - 2)
+    for m in range(1, N):
+        for n in range(2, N + 1):
+            assert bmn60.entry(m, n) == Bm[n], (m, n)
+        Bm = list(map(sub, _compose_with_z_plus_z2(Bm), Bm))
+    assert not any(Bm)
+
+
+def test_stratified_takes_each_binomial_once(monkeypatch):
+    # one row per size n, shared by every m: C(p, n-p) is asked for at most once
+    calls: Counter = Counter()
+    real = math.comb
+
+    def counted(p, q):
+        calls[p, q] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(math, "comb", counted)
+    count_by_max_label(60)
+    assert calls and max(calls.values()) == 1
 
 
 def test_stratified_against_enumeration_oracle(bmn60):
