@@ -85,6 +85,24 @@ def test_corrupt_entries(tmp_path):
             cache_load(str(p))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# wit-cache v1 kind=B k=2\n0\t0\n1,2\t5\n", 3),
+    ("# wit-cache v1 kind=H k=3\n0\t0\n1,2\t5\n", 3),
+    ("# wit-cache v1 kind=B k=2\n0\t0\n1 0\n", 3),
+    ("# wit-cache v1 kind=Bmn k=2\n1,2\t1\n7\t1\n", 3),
+    ("# wit-cache v1 kind=Bmn k=2\n1,2,3\t1\n", 2),
+    ("# wit-cache v1 kind=Bmn k=2\n1,2\t1\n1,3 1\n", 3),
+], ids=["B-pair-index", "H-pair-index", "B-no-tab", "Bmn-single-index",
+        "Bmn-triple-index", "Bmn-no-tab"])
+def test_an_index_of_the_wrong_shape_is_a_corrupt_entry(tmp_path, text, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    bad = text.splitlines()[line - 1]
+    with pytest.raises(CacheError) as info:
+        cache_load(str(p))
+    assert str(info.value) == f"{p}: corrupt entry at line {line}: {bad!r}"
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_clean_kary_tables_load_bit_identically(tmp_path, k):
     tab = count_kary_upto(k, 80)

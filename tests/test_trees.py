@@ -400,6 +400,29 @@ def test_node_equality_hash_and_repr_follow_the_structure():
     assert repr(Node(3, (None,))) == "Node(label=3, slots=(None,))"
 
 
+def test_a_none_and_a_bullet_slot_below_the_root_make_trees_unequal():
+    bare = LabeledTree(bin_node(1, bin_node(2), bin_node(2, None, bin_node(3))))
+    filled = LabeledTree(bin_node(1, bin_node(2), bin_node(2, BULLET, bin_node(3))))
+    assert bare != filled and bare.root != filled.root
+    assert filled.root != bare.root
+    assert bare == LabeledTree(bin_node(1, bin_node(2), bin_node(2, None, bin_node(3))))
+
+
+@pytest.mark.parametrize("k, n", [(2, 40), (3, 41), (5, 33)])
+def test_decoded_completed_and_sampled_trees_are_equal_and_hash_equal(k, n):
+    from witrees.sampler import SamplerContext, sample_uniform
+
+    ctx = SamplerContext.create(k, n, 11)
+    for _ in range(5):
+        sampled = sample_uniform(ctx, n)
+        decoded = decode_encoding(canonical_encoding(sampled))
+        completed = complete(strip(sampled), k)
+        assert sampled == decoded == completed
+        assert sampled.root is not decoded.root and sampled.root is not completed.root
+        assert hash(sampled.root) == hash(decoded.root) == hash(completed.root)
+        assert hash(sampled) == hash(decoded) == hash(completed)
+
+
 def test_decode_rejects_garbage():
     t = root_tree(2)
     enc = canonical_encoding(t)
