@@ -16,7 +16,9 @@ evaluates the scaled recurrence
 
 whose summands are nonnegative, to essentially full working precision;
 ``scaled_from_exact`` is the independent log-domain route from an exact
-count table.  gamma, a_n and the integral route stay binary.
+count table.  The coefficient families share one exact ratio:
+gamma(n, l) = delta_{n-1,l} at k = 2.  a_n and the integral route stay
+binary.
 
 The weights (ln 2 / (k-1))^s / s! decay superexponentially, so every sum
 over s stops at one index L, fixed per call: ``_weights(k)`` lists them up
@@ -177,7 +179,7 @@ def gamma_exact(n: int, l: int) -> Fraction:
     """gamma(n, l) = C(n-l, l) / C(n-1, l) as an exact rational."""
     if n < 2 or not 1 <= l <= n // 2:
         raise ValueError(f"gamma requires n >= 2 and 1 <= l <= n//2, got ({n}, {l})")
-    return Fraction(math.comb(n - l, l), math.comb(n - 1, l))
+    return _delta_ratio(2, n - 1, l)  # gamma(n, l) = delta_{n-1,l} at k = 2
 
 
 def gamma_coeff(n: int, l: int, precision: Precision = Precision()) -> mp.mpf:
@@ -186,9 +188,7 @@ def gamma_coeff(n: int, l: int, precision: Precision = Precision()) -> mp.mpf:
     Equals ((n-l)(n-l-1)...(n-2l+1)) / ((n-1)(n-2)...(n-l)); evaluated from
     an exact integer ratio, so no factorial overflow and no cancellation.
     """
-    g = gamma_exact(n, l)
-    with mp.workdps(precision.dps):
-        return mp.mpf(g.numerator) / g.denominator
+    return _ratio_mpf(gamma_exact(n, l), precision)
 
 
 def delta_exact(k: int, n: int, s: int) -> Fraction:
@@ -199,7 +199,7 @@ def delta_exact(k: int, n: int, s: int) -> Fraction:
         raise ValueError(
             f"delta requires 1 <= s <= {delta_smax(n, k)} for n={n}, got s={s}"
         )
-    return Fraction(math.comb(1 + (n - s) * (k - 1), s), math.comb(n, s))
+    return _delta_ratio(k, n, s)
 
 
 def delta_coeff(k: int, n: int, s: int, precision: Precision = Precision()) -> mp.mpf:
@@ -208,9 +208,18 @@ def delta_coeff(k: int, n: int, s: int, precision: Precision = Precision()) -> m
     Equals (1+(n-s)(k-1))! (n-s)! / ((1+(n-s)(k-1)-s)! n!), evaluated as a
     ratio of two binomials so that no full factorial is ever formed.
     """
-    d = delta_exact(k, n, s)
+    return _ratio_mpf(delta_exact(k, n, s), precision)
+
+
+def _delta_ratio(k: int, n: int, s: int) -> Fraction:
+    """C(1+(n-s)(k-1), s) / C(n, s), unchecked: the callers check the domain."""
+    return Fraction(math.comb(1 + (n - s) * (k - 1), s), math.comb(n, s))
+
+
+def _ratio_mpf(q: Fraction, precision: Precision) -> mp.mpf:
+    """An exact ratio rounded once to the working precision."""
     with mp.workdps(precision.dps):
-        return mp.mpf(d.numerator) / d.denominator
+        return mp.mpf(q.numerator) / q.denominator
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +279,14 @@ class _Fixed:
 
     def to_mpf(self, v: int) -> mp.mpf:
         return mp.mpf((v, -self.bits))
+
+    def horner(self, coeffs: list, x: int) -> int:
+        """sum_j c_j x^j in fixed point, the coefficients listed highest degree first."""
+        bits = self.bits
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x >> bits) + c
+        return acc
 
 
 def _term_cutoff() -> mp.mpf:
@@ -467,6 +484,14 @@ def _neville_at_zero(xs, ys):
     return ys[0]
 
 
+def _extrapolate_with_bar(pts, ys):
+    """Extrapolation of ys to x = 0 at x = 1/p, and as its error bar the
+    move from dropping the first point (the lowest-order fit)."""
+    xs = [mp.mpf(1) / p for p in pts]
+    full = _neville_at_zero(xs, ys)
+    return full, abs(full - _neville_at_zero(xs[1:], ys[1:]))
+
+
 def estimate_alpha(table, precision: Precision = Precision()) -> AsymptoticEstimate:
     """Accelerated ratio estimate of the exponential growth factor.
 
@@ -491,12 +516,8 @@ def estimate_alpha(table, precision: Precision = Precision()) -> AsymptoticEstim
             )
             for n in ns
         ]
-        xs = [mp.mpf(1) / n for n in ns]
-        full = _neville_at_zero(xs, ratios)
-        dropped = _neville_at_zero(xs[1:], ratios[1:])
-        return AsymptoticEstimate(
-            "alpha", full, abs(full - dropped), "ratio", N, table.k, precision.digits
-        )
+        full, bar = _extrapolate_with_bar(ns, ratios)
+        return AsymptoticEstimate("alpha", full, bar, "ratio", N, table.k, precision.digits)
 
 
 def eta_refined(b: ScaledSequence, n: int) -> mp.mpf:
@@ -521,14 +542,8 @@ def estimate_eta_extrapolation(b: ScaledSequence) -> AsymptoticEstimate:
         raise ValueError(f"eta extrapolation needs N >= {ETA_EXTRAPOLATION_MIN_N}")
     with mp.workdps(b.precision.dps):
         pts = [N // 4, N // 2, N]
-        xs = [mp.mpf(1) / p for p in pts]
-        ys = [eta_refined(b, p) for p in pts]
-        order2 = _neville_at_zero(xs, ys)
-        order1 = _neville_at_zero(xs[1:], ys[1:])
-        return AsymptoticEstimate(
-            "eta", order2, abs(order2 - order1), "extrapolation", N, 2,
-            b.precision.digits,
-        )
+        order2, bar = _extrapolate_with_bar(pts, [eta_refined(b, p) for p in pts])
+        return AsymptoticEstimate("eta", order2, bar, "extrapolation", N, 2, b.precision.digits)
 
 
 def second_order_residual(b: ScaledSequence, eta, n: int) -> mp.mpf:
@@ -649,11 +664,7 @@ def _li2_one_minus_pow2(w: mp.mpf) -> mp.mpf:
     """
     fx = _Fixed()
     u = w * mp.ln(2)
-    x = fx.of(u)
-    acc = 0
-    for c in _li2_coefficients(fx.bits):
-        acc = (acc * x >> fx.bits) + c
-    return u * fx.to_mpf(acc)
+    return u * fx.to_mpf(fx.horner(_li2_coefficients(fx.bits), fx.of(u)))
 
 
 def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
@@ -689,11 +700,7 @@ def _w_prime(a: ScaledSequence):
     coeffs += [0, fx.of(2 * mp.ln(2) ** 2), 0]
 
     def w_prime(w: mp.mpf) -> mp.mpf:
-        t = one - fx.of(w)
-        acc = 0
-        for c in coeffs:
-            acc = (acc * t >> fx.bits) + c
-        return fx.to_mpf(acc)
+        return fx.to_mpf(fx.horner(coeffs, one - fx.of(w)))
 
     return w_prime
 

@@ -8,8 +8,11 @@ Cache file format (bit-exact, LF line endings):
 
 Indices are the table's own indexing (size for kind B, H-index for kind H,
 ``m,n`` pairs for kind Bmn) and must be strictly increasing; kind B/H files
-are additionally contiguous from 0.  Files are written atomically (temp
-file in the target directory, then rename).
+are additionally contiguous from 0.  Both kinds are written by one row
+formatter and read by one line parser, which checks the index's shape for
+the kind.  A file with no entries, even one with a valid header, is refused
+as empty.  Files are written atomically (temp file in the target directory,
+then rename).
 
 A load re-runs the size recurrence modulo the prime 2^61 - 1
 (:func:`witrees.exact.h_residues`): every B/H entry must match it, and every
@@ -62,16 +65,12 @@ def _atomic_write(path: str, text: str) -> None:
 @unlimited_int_digits()
 def cache_save(table: Union[CountTable, LabelStratifiedTable], path: str) -> None:
     """Write a table to ``path`` in the cache format."""
-    lines = []
     if isinstance(table, LabelStratifiedTable):
-        lines.append("# wit-cache v1 kind=Bmn k=2")
-        for (m, n) in sorted(table.values):
-            lines.append(f"{m},{n}\t{table.values[(m, n)]}")
+        kind, k, rows = "Bmn", 2, sorted(table.values.items())
     else:
-        lines.append(f"# wit-cache v1 kind={table.kind} k={table.k}")
-        for i, v in enumerate(table.values):
-            lines.append(f"{i}\t{v}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        kind, k, rows = table.kind, table.k, (((i,), v) for i, v in enumerate(table.values))
+    text = "".join(f"{','.join(map(str, key))}\t{v}\n" for key, v in rows)
+    _atomic_write(path, f"# wit-cache v1 kind={kind} k={k}\n{text}")
 
 
 @unlimited_int_digits()
@@ -102,25 +101,31 @@ def cache_load(
     if k < 2 or (kind != "H" and k != 2):
         raise CacheError(f"{path}: arity k={k} does not fit kind={kind}")
 
+    # one ``index<TAB>value`` line per entry; a B/H index is the entry's
+    # position, a Bmn index a pair m,n with 1 <= m < n, increasing
+    keys: list[tuple[int, ...]] = []
+    entries: list[int] = []
+    for ln_no, line in enumerate(lines[1:], start=2):
+        try:
+            idx, val = line.split("\t")
+            key, v = tuple(map(int, idx.split(","))), int(val)
+        except ValueError:
+            key, v = (), -1  # refused below, with the shape errors
+        if v < 0 or (
+            len(key) != 2 or not 1 <= key[0] < key[1] or (keys and key <= keys[-1])
+            if kind == "Bmn"
+            else key != (len(entries),)
+        ):
+            raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}")
+        keys.append(key)
+        entries.append(v)
+    if not entries:
+        raise CacheError(f"{path}: empty cache file")
+
     if kind == "Bmn":
-        values: dict[tuple[int, int], int] = {}
-        last: tuple[int, int] | None = None
-        bound = 2
-        for ln_no, line in enumerate(lines[1:], start=2):
-            try:
-                idx, val = line.split("\t")
-                ms, ns = idx.split(",")
-                key = (int(ms), int(ns))
-                v = int(val)
-            except ValueError:
-                raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}") from None
-            if v < 0 or not 1 <= key[0] < key[1] or (last is not None and key <= last):
-                raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}")
-            last = key
-            values[key] = v
-            bound = max(bound, key[1])
+        bound = max(n for _, n in keys)
         row_sums: dict[int, int] = {}
-        for (_, n), v in values.items():
+        for (_, n), v in zip(keys, entries):
             row_sums[n] = row_sums.get(n, 0) + v
         # rows 2..bound must all be present; stop at the first gap, so that a
         # crafted n far beyond the file's length allocates nothing
@@ -131,18 +136,8 @@ def cache_load(
         if bad is not None:
             n = bad + 1
             raise CacheError(f"{path}: row n={n} does not sum to B_{n} (checked modulo 2^61 - 1)")
-        return LabelStratifiedTable(bound, values)
+        return LabelStratifiedTable(bound, dict(zip(keys, entries)))
 
-    entries: list[int] = []
-    for ln_no, line in enumerate(lines[1:], start=2):
-        try:
-            idx_s, val_s = line.split("\t")
-            idx, v = int(idx_s), int(val_s)
-        except ValueError:
-            raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}") from None
-        if idx != len(entries) or v < 0:
-            raise CacheError(f"{path}: corrupt entry at line {ln_no}: {line!r}")
-        entries.append(v)
     try:
         table = CountTable(k, kind, ROUTE_RECURRENCE, tuple(entries))
     except ValueError as exc:

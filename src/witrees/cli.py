@@ -16,6 +16,7 @@ import sys
 import mpmath as mp
 
 from . import asymptotics, cache, exact, oeis, sampler, trees
+from .exact import MAX_BUILD_BITS, TREE_SLOT_BITS
 
 
 def _default_cache_dir() -> str:
@@ -44,16 +45,9 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 # --------------------------------------------------------------------------
-# size limits
+# size limits (MAX_BUILD_BITS and TREE_SLOT_BITS live in ``exact``, beside
+# the tree guard that ``enumerate_all`` checks with them)
 # --------------------------------------------------------------------------
-
-#: Largest estimated footprint a command may build, in bits (1 GiB).  A size
-#: beyond it is refused before anything is allocated, with an error that
-#: names the flag and the largest size that fits.
-MAX_BUILD_BITS = 2**33
-
-#: Bits held per slot of an enumerated tree (measured: about 900).
-TREE_SLOT_BITS = 1024
 
 
 def _h_index(k: int, n: int) -> int:

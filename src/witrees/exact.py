@@ -36,12 +36,20 @@ from operator import add, floordiv, mul
 #: Refuse brute-force runs expected to produce more trees than this.
 DEFAULT_TREE_GUARD = 2_000_000
 
+#: Largest estimated footprint a command may build, in bits (1 GiB).  A size
+#: beyond it is refused before anything is allocated, with an error that
+#: names the flag and the largest size that fits.
+MAX_BUILD_BITS = 2**33
+
+#: Bits held per slot of an enumerated tree (measured: about 900).
+TREE_SLOT_BITS = 1024
+
 ROUTE_RECURRENCE = "recurrence"
 ROUTE_FUNCEQ = "functional-equation"
 
 
 class GuardExceeded(RuntimeError):
-    """Raised when exhaustive generation would exceed the tree guard."""
+    """Raised when exhaustive generation would exceed the tree guard or the build limit."""
 
 
 @contextlib.contextmanager

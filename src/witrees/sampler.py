@@ -8,7 +8,8 @@ subset is expanded in place, the walk descends, and the step is undone.
 At each finished tree the walk hands the state to a visitor, which
 ``enumerate_all`` freezes and ``exact.brute_force_count`` encodes without
 building the tree; the tree guard is checked against the exact count
-before the walk starts.
+before the walk starts, and for ``enumerate_all`` then the frozen trees'
+footprint against ``exact.MAX_BUILD_BITS``.
 
 ``sample_uniform`` draws a tree exactly uniformly at random using the
 counting recurrence read as a probabilistic construction: a uniform tree
@@ -48,7 +49,7 @@ from .trees import (
 )
 
 
-def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
+def _walk_histories(k: int, n: int, guard: int | None, visit, slot_bits: int = 0) -> int:
     """Run every growth history to size ``n``, calling ``visit`` per tree.
 
     One ``GrowingTree`` is walked depth first on an explicit stack of
@@ -60,7 +61,8 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     ``visit`` gets the state of each finished tree and must not change it.
     Returns the number of trees; first raises :class:`GuardExceeded` if
     H_min(m, 64) for n's H-index m exceeds ``guard`` (H rises with m; H_64
-    passes any guard).
+    passes any guard), and then if that many trees at ``slot_bits`` bits a
+    slot exceed ``exact.MAX_BUILD_BITS``.
     """
     if k < 2:
         raise ValueError("arity must be >= 2")
@@ -70,8 +72,14 @@ def _walk_histories(k: int, n: int, guard: int | None, visit) -> int:
     # sizes are 1 + (k-1)m, from the root tree's k up
     if n < k or (n - 1) % (k - 1):
         return 0
-    if exact._h_counts(k, min((n - 1) // (k - 1), 64))[-1] > limit:
+    count = exact._h_counts(k, min((n - 1) // (k - 1), 64))[-1]
+    if count > limit:
         raise GuardExceeded(f"more than {limit} trees of size {n}; raise the guard to proceed")
+    if count * n * slot_bits > exact.MAX_BUILD_BITS:
+        raise GuardExceeded(
+            f"the {count} trees of size {n} would hold about {count * n * slot_bits >> 23} MiB, "
+            f"beyond the {exact.MAX_BUILD_BITS >> 33} GiB build limit"
+        )
     state = GrowingTree(k)
     if n == k:
         visit(state)
@@ -118,10 +126,13 @@ def enumerate_all(k: int, n: int, guard: int | None = None) -> list[CompletedTre
     subsets by increasing cardinality and, within a cardinality, in
     lexicographic order of the preorder leaf positions.  The histories are
     run on one flat state with apply and undo; each finished tree is
-    frozen as the walk reaches it.
+    frozen as the walk reaches it.  After the tree guard, the trees'
+    footprint at ``exact.TREE_SLOT_BITS`` a slot is checked against
+    ``exact.MAX_BUILD_BITS``: a size past either raises
+    :class:`GuardExceeded` before the walk.
     """
     out: list[CompletedTree] = []
-    _walk_histories(k, n, guard, lambda state: out.append(state.freeze()))
+    _walk_histories(k, n, guard, lambda state: out.append(state.freeze()), exact.TREE_SLOT_BITS)
     return out
 
 

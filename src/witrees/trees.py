@@ -27,6 +27,11 @@ k fresh bullet-leaves.  Every completed tree is produced by exactly one
 sequence of such steps starting from the one-node root tree, which is what
 makes counting and uniform sampling by recurrence possible.
 
+``decode_encoding`` and ``complete`` build their nodes through one
+bottom-up builder from preorder labels and child masks; ``complete`` and
+``Node``'s ``==`` and ``hash`` read one preorder stream of (label, slot
+occupancy) pairs.
+
 All tree values are immutable; operations return new trees.  The one
 exception is ``GrowingTree``, a mutable flat state.  The exact sampler
 expands it in place and freezes it into a ``CompletedTree`` at the end;
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import eq
 from typing import Iterator, Optional, Union
 
 
@@ -66,9 +72,19 @@ Slot = Union[None, _Bullet, "Node"]
 Path = tuple[int, ...]
 
 
-def _occupancy(slots: tuple[Slot, ...]) -> tuple[int, ...]:
-    """Slot kinds in order: 0 empty, 1 bullet, 2 child node."""
-    return tuple(2 if isinstance(x, Node) else 1 if x is BULLET else 0 for x in slots)
+def _stream(root: "Node") -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Preorder (label, slot occupancy) pairs; a slot is 0 empty, 1 bullet, 2 child node.
+
+    The occupancies say where each subtree ends, so no stream is a proper
+    prefix of another, and two streams that agree pair by pair are equal.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        slots = node.slots
+        occupancy = tuple(2 if isinstance(x, Node) else 1 if x is BULLET else 0 for x in slots)
+        yield node.label, occupancy
+        stack.extend(x for x in reversed(slots) if isinstance(x, Node))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +92,11 @@ class Node:
     """A labeled node with a fixed tuple of positional child slots.
 
     Two nodes are equal when their subtrees give the same preorder stream
-    of (label, slot occupancy) pairs.  ``==``, ``hash`` and ``repr`` walk
-    the subtree with an explicit stack, so a deep chain needs no
-    recursion; the hash is computed on first use and kept.
+    of (label, slot occupancy) pairs (``_stream``); ``==`` stops at the
+    first pair that differs, and ``hash`` folds the same stream, so equal
+    nodes hash equal.  The stream and ``repr`` walk the subtree with an
+    explicit stack, so a deep chain needs no recursion; the hash is
+    computed on first use and kept.
     """
 
     label: int
@@ -87,15 +105,7 @@ class Node:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y:
-                continue
-            if x.label != y.label or _occupancy(x.slots) != _occupancy(y.slots):
-                return False
-            stack.extend((a, b) for a, b in zip(x.slots, y.slots) if isinstance(a, Node))
-        return True
+        return self is other or all(map(eq, _stream(self), _stream(other)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,11 +113,8 @@ class Node:
     @cached_property
     def _hash(self) -> int:
         h = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            h = hash((h, node.label, _occupancy(node.slots)))
-            stack.extend(x for x in reversed(node.slots) if isinstance(x, Node))
+        for label, occupancy in _stream(self):
+            h = hash((h, label, occupancy))
         return h
 
     def __repr__(self) -> str:
@@ -324,18 +331,31 @@ def complete(tree: LabeledTree, arity: int) -> CompletedTree:
     if not result:
         raise ValueError(f"invalid tree: {result.message}")
 
-    # bottom-up in reverse preorder, as in decode_encoding: no recursion
-    order: list[Node] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(x for x in reversed(node.slots) if isinstance(x, Node))
+    labels: list[int] = []
+    masks: list[int] = []
+    for label, occupancy in _stream(tree.root):
+        labels.append(label)
+        masks.append(sum(1 << i for i, x in enumerate(occupancy) if x == 2))
+    return CompletedTree(arity, _build(arity, labels, masks))
+
+
+def _build(k: int, labels: list[int], masks: list[int]) -> Node:
+    """The completed tree's root from its nodes' labels and child masks in preorder.
+
+    Built bottom-up in reverse preorder, without recursion: a node's
+    subtrees were built just before it, and its first child's subtree is
+    on top of the stack.  Bit i of a mask is set when slot i holds a child;
+    every other slot gets a bullet.
+    """
     built: list[Node] = []
-    for node in reversed(order):
-        slots = tuple(built.pop() if isinstance(s, Node) else BULLET for s in node.slots)
-        built.append(Node(node.label, slots))
-    return CompletedTree(arity, built[0])
+    bullets = (BULLET,) * k  # shared by the nodes without children
+    for label, mask in zip(reversed(labels), reversed(masks)):
+        if mask:
+            slots = tuple([built.pop() if mask >> i & 1 else BULLET for i in range(k)])
+        else:
+            slots = bullets
+        built.append(Node(label, slots))
+    return built[0]
 
 
 def root_tree(arity: int) -> CompletedTree:
@@ -600,17 +620,7 @@ def decode_encoding(data: bytes) -> CompletedTree:
         pending += mask.bit_count() - 1
     if pos != end:
         raise ValueError(f"{end - pos} trailing bytes after encoding")
-    # build bottom-up in reverse preorder: a node's subtrees were built just
-    # before it, and its first child's subtree is on top of the stack
-    built: list[Node] = []
-    bullets = (BULLET,) * k  # shared by the nodes without children
-    for label, mask in zip(reversed(labels), reversed(masks)):
-        if mask:
-            slots = tuple([built.pop() if mask >> i & 1 else BULLET for i in range(k)])
-        else:
-            slots = bullets
-        built.append(Node(label, slots))
-    tree = CompletedTree(k, built[0])
+    tree = CompletedTree(k, _build(k, labels, masks))
     result = validate(tree, k)
     if not result:
         raise ValueError(f"encoded tree is not weakly increasing: {result.message}")

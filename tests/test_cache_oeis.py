@@ -103,6 +103,19 @@ def test_an_index_of_the_wrong_shape_is_a_corrupt_entry(tmp_path, text, line):
     assert str(info.value) == f"{p}: corrupt entry at line {line}: {bad!r}"
 
 
+@pytest.mark.parametrize("header", ["kind=B k=2", "kind=H k=3", "kind=Bmn k=2"])
+def test_a_header_without_entries_is_an_empty_cache_file(tmp_path, capsys, header):
+    from witrees import cli
+
+    p = tmp_path / "empty.txt"
+    p.write_text(f"# wit-cache v1 {header}\n")
+    with pytest.raises(CacheError) as info:
+        cache_load(str(p))
+    assert str(info.value) == f"{p}: empty cache file"
+    assert cli.main(["cache", "verify", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: {p}: empty cache file\n")
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_clean_kary_tables_load_bit_identically(tmp_path, k):
     tab = count_kary_upto(k, 80)

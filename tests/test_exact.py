@@ -384,6 +384,25 @@ def test_guard_refuses_before_the_walk(monkeypatch, run, n):
         run(2, n)
 
 
+def test_enumeration_refuses_its_footprint_before_the_walk(monkeypatch):
+    # 1,925,442 trees of size 10 pass the tree guard but would hold about
+    # 2.3 GiB as frozen trees; the tree guard still speaks first at 11
+    def no_growth(*args):
+        raise AssertionError("the walk expanded a leaf")
+
+    monkeypatch.setattr(sampler, "_grow_flat", no_growth)
+    with pytest.raises(GuardExceeded, match="the 1925442 trees of size 10 would hold about "
+                       "2350 MiB, beyond the 1 GiB build limit"):
+        enumerate_all(2, 10)
+    with pytest.raises(GuardExceeded, match="more than 2000000 trees of size 11;"):
+        enumerate_all(2, 11)
+    with pytest.raises(GuardExceeded, match="size 10 would hold"):
+        enumerate_all(2, 10, guard=10**9)
+    with pytest.raises(AssertionError, match="expanded a leaf"):
+        enumerate_all(2, 9)  # 160,110 trees fit: the walk starts
+    assert exact.MAX_BUILD_BITS == 2**33 and exact.TREE_SLOT_BITS == 1024
+
+
 def test_brute_force_detects_repeated_encodings(monkeypatch):
     from witrees import trees
 
