@@ -69,8 +69,10 @@ def cache_save(table: Union[CountTable, LabelStratifiedTable], path: str) -> Non
         kind, k, rows = "Bmn", 2, sorted(table.values.items())
     else:
         kind, k, rows = table.kind, table.k, (((i,), v) for i, v in enumerate(table.values))
-    text = "".join(f"{','.join(map(str, key))}\t{v}\n" for key, v in rows)
-    _atomic_write(path, f"# wit-cache v1 kind={kind} k={k}\n{text}")
+    # one join over the rows: a second copy of the text would raise the peak RSS
+    lines = [f"# wit-cache v1 kind={kind} k={k}\n"]
+    lines += (f"{','.join(map(str, key))}\t{v}\n" for key, v in rows)
+    _atomic_write(path, "".join(lines))
 
 
 @unlimited_int_digits()
