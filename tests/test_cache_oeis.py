@@ -313,6 +313,32 @@ def test_mismatch_reported(btab300):
     assert report.first_mismatch[0] == 22
 
 
+class _Alternating:
+    """A count table stand-in: entry(n) = n mod 2 for n = 0..max_index."""
+
+    max_index = 30
+
+    def entry(self, n):
+        return n % 2
+
+
+def test_equal_matches_go_to_the_smaller_shift():
+    # a(i) = (i + 1) mod 2 on 0..20 agrees with n mod 2 under every odd
+    # shift; s = 1, 3, 5, 7, 9 all match the whole 21-index overlap
+    bf = OeisBFile("A000000", tuple((i, (i + 1) % 2) for i in range(21)))
+    report = find_shift(_Alternating(), bf, 30)
+    assert (report.offset, report.matched, report.overlap) == (1, 21, 21)
+    assert report.full_prefix
+
+
+def test_equal_matches_at_plus_and_minus_s_go_to_the_negative_shift():
+    # a(i) = (i + 1) mod 2 on 0..20 against 0..20: s = -1 and s = 1 both
+    # match 20 values, every other shift fewer
+    bf = OeisBFile("A000000", tuple((i, (i + 1) % 2) for i in range(21)))
+    report = find_shift(_Alternating(), bf, 20)
+    assert (report.offset, report.matched, report.overlap) == (-1, 20, 20)
+
+
 def test_no_shift_matches():
     tab = count_binary_upto(60)
     junk = OeisBFile("A000001", tuple((i, 9_999_999 + i) for i in range(1, 60)))

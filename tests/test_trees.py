@@ -285,6 +285,13 @@ def test_evolution_errors():
         evolution_step(grown, [(0,)], 3)
 
 
+@pytest.mark.parametrize("position", [(), (0, 0), (5,)])
+def test_evolution_refuses_positions_that_are_not_bullets(position):
+    # the root node, a path through a bullet, a slot index out of range
+    with pytest.raises(ValueError, match=re.escape(repr(position))):
+        evolution_step(root_tree(2), [position], 2)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_flat_evolution_matches_path_evolution(k):
     # every history of up to three steps, as leaf indices on the flat
