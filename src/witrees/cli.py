@@ -154,15 +154,12 @@ def cmd_count(args) -> int:
     if args.upto is None:
         print(get(args.n))
         return 0
-    # streamed: with a large --k the table is tiny but --upto rows are not
-    rows = ((n, get(n)) for n in range(args.upto + 1))
+    sep = "," if args.format == "csv" else "\t"
     if args.format == "csv":
         print("n,count")
-        for n, v in rows:
-            print(f"{n},{v}")
-    else:
-        for n, v in rows:
-            print(f"{n}\t{v}")
+    # streamed: with a large --k the table is tiny but --upto rows are not
+    for n in range(args.upto + 1):
+        print(f"{n}{sep}{get(n)}")
     return 0
 
 
@@ -187,16 +184,12 @@ def cmd_sample(args) -> int:
         raise ValueError("--count must be positive")
     _check_size("--n", args.n, lambda n: _sample_bits(args.k, n))
     ctx = sampler.SamplerContext.create(args.k, args.n, args.seed)
-    for i in range(args.count):
-        t = sampler.sample_uniform(ctx, args.n)
-        if args.format == "encoding":
-            print(trees.canonical_encoding(t).hex())
-        elif args.format == "graph":
-            sys.stdout.write(trees.render_graph(t))
-            print()
-        else:
-            sys.stdout.write(trees.render_indented(t))
-            print()
+    if args.format == "encoding":
+        render = lambda t: trees.canonical_encoding(t).hex()  # noqa: E731
+    else:
+        render = trees.render_graph if args.format == "graph" else trees.render_indented
+    for _ in range(args.count):
+        print(render(sampler.sample_uniform(ctx, args.n)))
     return 0
 
 
@@ -274,30 +267,27 @@ def cmd_estimate(args) -> int:
 def cmd_figure(args) -> int:
     _check_size("--digits", args.digits, lambda d: 3 * _sequence_bits(1000, d))
     p = asymptotics.Precision(args.digits)
-    lines = []
+    # each figure: its CSV header and the values of the row for n
     if args.which == "fig2":
         b = asymptotics.scaled_b_recurrence(1000, p)
-        lines.append("n,b_n,inv_sqrt_n,inv_n")
-        with mp.workdps(p.dps):
-            for n in range(25, 1001):
-                row = (b[n], 1 / mp.sqrt(n), mp.mpf(1) / n)
-                lines.append(f"{n}," + ",".join(mp.nstr(x, p.digits) for x in row))
+        header = "n,b_n,inv_sqrt_n,inv_n"
+
+        def values(n):
+            return b[n], 1 / mp.sqrt(n), mp.mpf(1) / n
     else:
         ks = (3, 13, 49)
         seqs = {k: asymptotics.scaled_h_recurrence(k, 1000, p) for k in ks}
-        lines.append(
-            "n," + ",".join(f"h_n_k{k}" for k in ks) + ","
-            + ",".join(f"asymptote_k{k}" for k in ks)
-        )
+        header = ",".join(["n", *(f"h_n_k{k}" for k in ks), *(f"asymptote_k{k}" for k in ks)])
         with mp.workdps(p.dps):
             targets = {k: asymptotics.kary_exponent_target(k, p) for k in ks}
             prefs = {k: asymptotics.estimate_kary_prefactor(seqs[k]).value for k in ks}
-            for n in range(25, 1001):
-                hs = ",".join(mp.nstr(seqs[k][n], p.digits) for k in ks)
-                asym = ",".join(
-                    mp.nstr(prefs[k] * mp.mpf(n) ** targets[k], p.digits) for k in ks
-                )
-                lines.append(f"{n},{hs},{asym}")
+
+        def values(n):
+            return [seqs[k][n] for k in ks] + [prefs[k] * mp.mpf(n) ** targets[k] for k in ks]
+    lines = [header]
+    with mp.workdps(p.dps):
+        for n in range(25, 1001):
+            lines.append(f"{n}," + ",".join(mp.nstr(x, p.digits) for x in values(n)))
     _write_lines(args.out, lines)
     return 0
 

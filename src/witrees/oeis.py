@@ -97,21 +97,21 @@ def fetch_bfile(seq_id: str, dest_path: str, timeout: float = 30.0) -> str:
 def find_shift(counts, bfile: OeisBFile, upto: int) -> ShiftReport:
     """Best shift s such that counts.entry(n) == a(n - s) on a maximal prefix.
 
-    All shifts giving a nonempty overlap with 0..upto are tried; the report
-    carries the longest agreeing prefix (ties broken toward smaller |s|).
-    Raises ``ValueError`` when no shift achieves at least 10 matches.
+    All shifts giving a nonempty overlap with 0..upto are tried in
+    ascending order; the report carries the longest agreeing prefix, and
+    ``max`` keeps the first of equal keys, so ties go to the smaller |s|
+    and then to the negative s.  Raises ``ValueError`` when no shift
+    achieves at least 10 matches.
     """
     if upto > counts.max_index:
         raise ValueError(f"table covers only 0..{counts.max_index}, need {upto}")
     a = dict(bfile.entries)
     i_min = bfile.entries[0][0]
     i_max = bfile.entries[-1][0]
-    best: Optional[ShiftReport] = None
-    for s in range(-i_max, upto - i_min + 1):
+
+    def report(s: int) -> ShiftReport:
         lo = max(0, i_min + s)
         hi = min(upto, i_max + s)
-        if lo > hi:
-            continue
         matched = 0
         mismatch = None
         for n in range(lo, hi + 1):
@@ -120,13 +120,11 @@ def find_shift(counts, bfile: OeisBFile, upto: int) -> ShiftReport:
             else:
                 mismatch = (n, counts.entry(n), a.get(n - s))
                 break
-        report = ShiftReport(bfile.seq_id, s, matched, hi - lo + 1, mismatch)
-        if (
-            best is None
-            or report.matched > best.matched
-            or (report.matched == best.matched and abs(report.offset) < abs(best.offset))
-        ):
-            best = report
+        return ShiftReport(bfile.seq_id, s, matched, hi - lo + 1, mismatch)
+
+    # each shift overlaps 0..upto; with upto < 0 none does, and none matches
+    shifts = map(report, range(-i_max, upto - i_min + 1))
+    best = max(shifts, key=lambda r: (r.matched, -abs(r.offset)), default=None)
     if best is None or best.matched < 10:
         raise ValueError(
             f"no shift matches {bfile.seq_id} on at least 10 consecutive values"

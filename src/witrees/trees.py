@@ -169,7 +169,8 @@ class ValidationResult:
     """Outcome of ``validate``; falsy when a constraint is violated.
 
     ``kind`` is one of ``"malformed"`` (structural problem: wrong slot
-    count, bad label value), ``"label-order"`` (labels not strictly
+    count, bad label value, a slot holding anything but ``None``,
+    ``BULLET`` or a ``Node``), ``"label-order"`` (labels not strictly
     increasing along a branch) or ``"label-gap"`` (label set is not a full
     interval {1..m}).  ``path`` locates the offending node.
     """
@@ -248,16 +249,6 @@ def _with_slot(root: Node, path: Path, content: Slot) -> Node:
     return content
 
 
-def node_at(root: Node, path: Path) -> Slot:
-    """Slot content at ``path`` (the root node for the empty path)."""
-    current: Slot = root
-    for i in path:
-        if not isinstance(current, Node) or not 0 <= i < len(current.slots):
-            raise ValueError(f"no slot at path {path!r}")
-        current = current.slots[i]
-    return current
-
-
 def _path_of(root: Node, target: Node) -> Path:
     """Path of ``target``'s first occurrence in preorder (by identity)."""
     return next(path for path, node in iter_nodes(root) if node is target)
@@ -267,7 +258,8 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
     """Check the two defining label constraints for the given arity.
 
     Structural problems (a node whose slot tuple does not have exactly
-    ``arity`` entries, or a non-positive label) are reported as kind
+    ``arity`` entries, a non-positive label, or a slot holding anything
+    but ``None``, ``BULLET`` or a ``Node``) are reported as kind
     ``"malformed"``, distinct from the label-constraint violations.
 
     The nodes are checked in preorder on a stack of bare nodes; the first
@@ -297,12 +289,19 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
             )
         labels.add(label)
         for slot in slots:
-            if isinstance(slot, Node) and slot.label <= label:
-                # an equal slot before it would have failed first
+            if isinstance(slot, Node):
+                if slot.label <= label:
+                    # an equal slot before it would have failed first
+                    path = _path_of(root, node) + (slots.index(slot),)
+                    return ValidationResult(
+                        False, "label-order", path,
+                        f"label {slot.label} at {path!r} does not exceed parent label {label}",
+                    )
+            elif slot is not None and slot is not BULLET:
                 path = _path_of(root, node) + (slots.index(slot),)
                 return ValidationResult(
-                    False, "label-order", path,
-                    f"label {slot.label} at {path!r} does not exceed parent label {label}",
+                    False, "malformed", path,
+                    f"slot at {path!r} holds {type(slot).__name__}, not a node, a bullet or None",
                 )
         for slot in reversed(slots):
             if isinstance(slot, Node):
@@ -464,21 +463,26 @@ def evolution_step(
     maximal label.
 
     On a ``CompletedTree`` the subset is given by paths and a new tree is
-    returned.  On a ``GrowingTree`` it is given by an iterable of increasing
-    preorder leaf indices, and the state is expanded in place and returned.
+    returned; a path that is not one of ``bullet_positions(t.root)`` is
+    refused as not a bullet-leaf.  On a ``GrowingTree`` it is given by an
+    iterable of increasing preorder leaf indices, and the state is expanded
+    in place and returned.
     """
     if isinstance(t, GrowingTree):
         return _grow_flat(t, leaf_subset, next_label)
-    subset = {tuple(p) for p in leaf_subset}
+    try:
+        subset = {tuple(p) for p in leaf_subset}
+    except TypeError as exc:  # a position that is not a sequence of hashable indices
+        raise ValueError(f"positions must be paths of slot indices ({exc})") from None
     if not subset:
         raise ValueError("leaf subset must be nonempty")
     if next_label != t.max_label + 1:
         raise ValueError(
             f"next label must be {t.max_label + 1}, got {next_label}"
         )
-    for p in subset:
-        if node_at(t.root, p) is not BULLET:
-            raise ValueError(f"position {p!r} is not a bullet-leaf")
+    not_bullets = subset.difference(bullet_positions(t.root))
+    if not_bullets:
+        raise ValueError(f"position {not_bullets.pop()!r} is not a bullet-leaf")
 
     fresh = (BULLET,) * t.arity
     root = t.root

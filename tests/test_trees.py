@@ -93,6 +93,19 @@ def test_validate_malformed_slot_count_distinct_kind():
     assert validate(bad_label, 2).kind == "malformed"
 
 
+def test_validate_reports_a_slot_holding_something_else_as_malformed():
+    result = validate(LabeledTree(Node(1, (5, None))), 2)
+    assert (result.kind, result.path) == ("malformed", (0,))
+    assert "(0,)" in result.message
+    deep = LabeledTree(bin_node(1, None, Node(2, (None, "x"))))
+    result = validate(deep, 2)
+    assert (result.kind, result.path) == ("malformed", (1, 1))
+    assert validate(CompletedTree(2, Node(1, ("x", BULLET))), 2).kind == "malformed"
+    # so ``complete`` no longer turns the foreign slot into a bullet
+    with pytest.raises(ValueError, match="invalid tree: slot at"):
+        complete(LabeledTree(Node(1, (5, None))), 2)
+
+
 def test_validate_figure_tree():
     assert validate(figure_tree(), 2)
 
@@ -290,6 +303,16 @@ def test_evolution_refuses_positions_that_are_not_bullets(position):
     # the root node, a path through a bullet, a slot index out of range
     with pytest.raises(ValueError, match=re.escape(repr(position))):
         evolution_step(root_tree(2), [position], 2)
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [([0], "paths of slot indices"), ([([0],)], "paths of slot indices"),
+     ([("a",)], "not a bullet-leaf")],
+)
+def test_evolution_refuses_positions_that_are_not_paths(positions, message):
+    with pytest.raises(ValueError, match=message):
+        evolution_step(root_tree(2), positions, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3])
