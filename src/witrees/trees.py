@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import eq
+from operator import eq, index
 from typing import Iterator, Optional, Union
 
 
@@ -471,8 +471,8 @@ def evolution_step(
     if isinstance(t, GrowingTree):
         return _grow_flat(t, leaf_subset, next_label)
     try:
-        subset = {tuple(p) for p in leaf_subset}
-    except TypeError as exc:  # a position that is not a sequence of hashable indices
+        subset = {tuple(map(index, p)) for p in leaf_subset}
+    except TypeError as exc:  # a position that is not a sequence of integers
         raise ValueError(f"positions must be paths of slot indices ({exc})") from None
     if not subset:
         raise ValueError("leaf subset must be nonempty")

@@ -308,7 +308,7 @@ def test_evolution_refuses_positions_that_are_not_bullets(position):
 @pytest.mark.parametrize(
     "positions, message",
     [([0], "paths of slot indices"), ([([0],)], "paths of slot indices"),
-     ([("a",)], "not a bullet-leaf")],
+     ([("a",)], "paths of slot indices"), ([(0.0,)], "paths of slot indices")],
 )
 def test_evolution_refuses_positions_that_are_not_paths(positions, message):
     with pytest.raises(ValueError, match=message):
