@@ -297,7 +297,7 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
                         False, "label-order", path,
                         f"label {slot.label} at {path!r} does not exceed parent label {label}",
                     )
-            elif slot is not None and slot is not BULLET:
+            elif slot is not BULLET and slot is not None:  # bullets, the common case, first
                 path = _path_of(root, node) + (slots.index(slot),)
                 return ValidationResult(
                     False, "malformed", path,
