@@ -118,6 +118,12 @@ def _check_size(flag: str, value: int, bits) -> None:
     )
 
 
+def _check_least(flag: str, value: int, least: int) -> None:
+    """Refuse ``value`` of ``flag`` below ``least``, the smallest value its builder accepts."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _check_sequences(flag: str, N: int, digits: int, count: int = 1) -> None:
     """Refuse ``count`` sequences up to N: the precision on its own, then N
     at that precision."""
@@ -167,6 +173,7 @@ def cmd_table(args) -> int:
     kind = args.kind or ("B" if args.k == 2 else "H")
     if kind != "H" and args.k != 2:
         raise ValueError(f"kind {kind} tables are binary; use --k 2 or --kind H")
+    _check_least("--upto", args.upto, 1 if kind == "H" else 2)
     footprint = _cubic_bits if kind == "Bmn" else _table_bits
     _check_size("--upto", args.upto, lambda M: footprint(args.k, M))
     table = _build_table(args.k, kind, args.upto)
@@ -196,6 +203,7 @@ def cmd_sample(args) -> int:
 def cmd_scaled(args) -> int:
     if args.kind != "h" and args.k != 2:
         raise ValueError(f"kind {args.kind} sequences are binary; use --k 2 or --kind h")
+    _check_least("--upto", args.upto, 1 if args.kind == "h" else 2)
     _check_sequences("--upto", args.upto, args.digits, 2 if args.kind == "a" else 1)
     p = asymptotics.Precision(args.digits)
     if args.kind == "b":

@@ -15,7 +15,8 @@ Three independent routes are implemented:
 
 * ``count_binary_funceq``: the generating-function equation
   B(z) = z^2 + B(z + z^2) - B(z) read off degree by degree in one ascending
-  sweep, since each coefficient depends only on lower ones; the truncated
+  sweep, since each coefficient depends only on lower ones, against
+  binomial rows stepped by Pascal's rule; the truncated
   series is then checked against the equation by composing B(z + z^2)
   with Horner's rule, which uses no binomial.
 
@@ -150,13 +151,20 @@ def count_binary_upto(N: int) -> CountTable:
     return CountTable(2, "B", ROUTE_RECURRENCE, (0, *_h_counts(2, N - 1)))
 
 
-def _series_row(n: int) -> tuple[int, list[int]]:
-    """lo = ceil(n/2) and [C(p, n-p) for p = lo..n-1]: z -> z + z^2 from degree p to n.
+def _series_rows(N: int):
+    """Yield (n, lo, [C(p, n-p) for p = lo..n-1]) for n = 3..N, lo = ceil(n/2).
 
-    Both binary series builders read it; math.comb, not the recurrence route, fills it.
+    The row takes z -> z + z^2 from degree p to n.  Both binary series
+    builders read it.  Rows are stepped by Pascal's rule, C(p, n-p) =
+    C(p-1, n-p) + C(p-1, n-p-1): entry p of row n is the sum of entry p-1
+    of rows n-1 and n-2, so a row costs additions only.  Nothing of the
+    recurrence route is read.
     """
-    lo = (n + 1) // 2
-    return lo, list(map(math.comb, range(lo, n), range(n - lo, 0, -1)))
+    older, old = [0, 1], [0, 1, 1]  # C(p, n-p) for p = 0..n at n = 1 and 2
+    for n in range(3, N + 1):
+        lo = (n + 1) // 2
+        older, old = old, [0] * lo + [*map(add, old[lo - 1 :], older[lo - 1 :]), 1]
+        yield n, lo, old[lo:n]
 
 
 def count_binary_funceq(N: int) -> CountTable:
@@ -170,7 +178,7 @@ def count_binary_funceq(N: int) -> CountTable:
 
     Every coefficient depends only on lower ones, so one ascending sweep
     writes each one final, summing against the binomial row of
-    :func:`_series_row`.  The table is then checked against the
+    :func:`_series_rows`.  The table is then checked against the
     equation itself: S(z + z^2) mod z^(N+1) is composed by Horner's rule,
     U <- U (z + z^2) + S_p for p = N..0, which shifts and adds and uses no
     binomial, and 2 S_n = [n = 2] + U_n must hold at every degree.  That
@@ -180,8 +188,7 @@ def count_binary_funceq(N: int) -> CountTable:
     if N < 2:
         raise ValueError("N must be >= 2")
     S = [0, 0, 1] + [0] * (N - 2)
-    for n in range(3, N + 1):
-        lo, row = _series_row(n)
+    for n, lo, row in _series_rows(N):
         S[n] = sum(map(mul, row, S[lo:n]))
     # U holds degrees 0..N-p of sum_{q >= p} S_q (z + z^2)^(q-p); the rest
     # lands above degree N once the remaining p factors are applied
@@ -199,7 +206,7 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
 
     B_{1,2} = 1 is the lone seed; a tree whose maximal label is m arises
     from a unique tree with maximal label m-1 by expanding n-p of its p
-    leaves, so column m is the row of :func:`_series_row` times column m-1:
+    leaves, so column m is the row of :func:`_series_rows` times column m-1:
 
         B_{m,n} = sum_{p=ceil(n/2)}^{n-1} C(p, n-p) * B_{m-1,p}.
     """
@@ -207,32 +214,11 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
         raise ValueError("N must be >= 2")
     B = [[0] * (N + 1) for _ in range(N)]  # B[m][n]
     B[1][2] = 1
-    for n in range(3, N + 1):
-        lo, row = _series_row(n)
+    for n, lo, row in _series_rows(N):
         for m in range(2, n):
             B[m][n] = sum(map(mul, row, B[m - 1][lo:n]))
     values = {(m, n): B[m][n] for n in range(2, N + 1) for m in range(1, n) if B[m][n]}
     return LabelStratifiedTable(N, values)
-
-
-def _coefficients(k: int, m: int):
-    """Yield (s, C(1+(m-s)(k-1), s)) for s = 1..kary_smax(m, k).
-
-    These are the binomials of the size recurrence at H-index m, stepped in
-    one place at O(min(s, k)) factors each: directly by math.comb while
-    s < k, then from the previous one by C(a, s) =
-    C(a+k-1, s-1) (a+k-s)_k / (s (a+k-1)_{k-1}), with a = 1+(m-s)(k-1).
-    Only the sampler reads them, one m at a time; the tables and the scaled
-    ``h``/``a`` kernels step the same binomials along columns instead.
-    """
-    a, c = 1 + (m - 1) * (k - 1), 0
-    for s in range(1, kary_smax(m, k) + 1):
-        if s < k:
-            c = math.comb(a, s)
-        else:
-            c = c * math.perm(a + k - s, k) // (s * math.perm(a + k - 1, k - 1))
-        yield s, c
-        a -= k - 1
 
 
 def _step_columns(col: list, lo: int, m: int, k: int, stop: int | None = None) -> int:
@@ -256,37 +242,45 @@ def _step_columns(col: list, lo: int, m: int, k: int, stop: int | None = None) -
     return new_lo
 
 
+def _column_sums(k: int, H, start: int, stop: int):
+    """Yield the size recurrence's sum for H-index m = start..stop (start >= 2).
+
+    The sum is taken over columns j = m - s, as in :func:`h_residues` but
+    exactly: column j holds H_j C(a_j, m-j), and :func:`_step_columns`
+    moves it to the next m by one multiply and one exact division by small
+    ints, not a product of two big ones, so a large arity sums as fast as a
+    small one.  The live columns are built once with math.comb from
+    H[0..start-2]; H[m-1] is read only when the sum at m is due, so a caller
+    may append each sum to ``H`` as it goes.  At m the live columns are the
+    weights C(1+(m-s)(k-1), s) H_{m-s} of the sampler's step down from m.
+    """
+    # the live columns after step start - 1: j >= ceil((start - 2) / k)
+    lo = (start + k - 3) // k
+    col = [H[j] * math.comb(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
+    for m in range(start, stop + 1):
+        lo = _step_columns(col, lo, m, k)
+        col.append((1 + (m - 1) * (k - 1)) * H[m - 1])
+        yield sum(col)
+
+
 #: The longest list H_0..H_M built so far, per arity k (see _h_counts).
 _H_MEMO: dict[int, list[int]] = {}
 
 
 def _h_counts(k: int, M: int) -> list[int]:
-    """H_0..H_M for arity k by the size recurrence (M >= 1).
-
-    The recurrence is summed over columns j = m - s, as in
-    :func:`h_residues` but exactly: column j holds H_j C(a_j, m-j), and
-    :func:`_step_columns` moves it to the next m by one multiply and one
-    exact division by small ints, not a product of two big ones.  So a
-    large arity builds as fast as a small one.
+    """H_0..H_M for arity k by the size recurrence (M >= 1), summed by :func:`_column_sums`.
 
     A request within the longest list built so far for k is a slice of it;
     a longer one resumes at the end of that list, rebuilding the live
-    columns once with math.comb.  The columns are local; entries are
-    appended one at a time, so an interrupted build (Ctrl-C, MemoryError)
-    leaves a valid prefix behind.  The package is single-threaded: the list
-    is shared, unlocked module state.
+    columns once.  The columns are local; entries are appended one at a
+    time, so an interrupted build (Ctrl-C, MemoryError) leaves a valid
+    prefix behind.  The package is single-threaded: the list is shared,
+    unlocked module state.
     """
     H = _H_MEMO.setdefault(k, [0, 1])
-    start = len(H)
-    if start > M:
-        return H[: M + 1]
-    # the live columns after step start - 1: j >= ceil((start - 2) / k)
-    lo = (start + k - 3) // k
-    col = [H[j] * math.comb(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
-    for m in range(start, M + 1):
-        lo = _step_columns(col, lo, m, k)
-        col.append((1 + (m - 1) * (k - 1)) * H[m - 1])
-        H.append(sum(col))
+    if len(H) <= M:
+        for h in _column_sums(k, H, len(H), M):
+            H.append(h)
     return H[: M + 1]
 
 

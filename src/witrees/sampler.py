@@ -19,12 +19,14 @@ C(1+(m-s)(k-1), s) * H_{m-s} / H_m (for binary trees of size n = m+1 this
 is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
 uniform, not merely approximately so.  ``SamplerContext.create`` checks
-the weights' normalization once for its whole table; the descent scans
-them lazily and keeps nothing.  The expansions are replayed by
-``evolution_step`` on a flat mutable ``GrowingTree`` (labels, child ids
-and the preorder leaf list) at O(n) per growth step, and the immutable
-tree is built once at the end; the random stream and hence every seeded
-output is the same as replaying them on immutable trees.
+the weights' normalization once for its whole table, summing them by the
+table build's own column sums (``exact._column_sums``); the descent takes
+each weight it scans from ``math.comb`` and keeps nothing.  The
+expansions are replayed by ``evolution_step`` on a flat mutable
+``GrowingTree`` (labels, child ids and the preorder leaf list) at O(n)
+per growth step, and the immutable tree is built once at the end; the
+random stream and hence every seeded output is the same as replaying
+them on immutable trees.
 
 Randomness comes from Python's ``random.Random`` (MT19937).  Uniform
 integers below a bound are drawn by rejection on ``getrandbits`` and leaf
@@ -35,6 +37,7 @@ in the README so that seeds are portable.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -154,11 +157,14 @@ class SamplerContext:
         """Build a context whose table covers all sizes up to ``max_size``.
 
         Asserts that the expansion weights sum to the entry at every
-        H-index from 2 up, once, before any sample is drawn.
+        H-index from 2 up, once, before any sample is drawn: the weights of
+        the step down from H-index h are the live columns of
+        ``exact._column_sums`` at h, summed from the table's own entries.
         """
         ctx = cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
-        for m in range(2 + ctx.table.offset, ctx.table.max_index + 1):
-            if sum(w for _, w in _expansion_weights(ctx, m)) != ctx.table.entry(m):
+        H = ctx.table.values[ctx.table.offset :]
+        for m, total in enumerate(exact._column_sums(k, H, 2, len(H) - 1), 2 + ctx.table.offset):
+            if total != ctx.table.values[m]:
                 raise AssertionError(f"expansion weights at index {m} do not sum to the count")
         return ctx
 
@@ -189,19 +195,6 @@ def _subset_indices(rng: random.Random, population: int, take: int) -> list[int]
     return sorted(chosen)
 
 
-def _expansion_weights(ctx: SamplerContext, m: int) -> list[tuple[int, int]]:
-    """(s, weight) pairs for one step down from table index ``m``.
-
-    With h = m - offset the H-index, expanding s leaves of a tree counted
-    at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s), the
-    binomial read from the recurrence's one stepper,
-    ``exact._coefficients``.  Weights are exact integers summing to the
-    table entry at ``m``; ``SamplerContext.create`` asserts it.
-    """
-    values = ctx.table.values
-    return [(s, c * values[m - s]) for s, c in exact._coefficients(ctx.k, m - ctx.table.offset)]
-
-
 def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     """Draw a tree of size ``n`` exactly uniformly at random.
 
@@ -214,14 +207,15 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     H = ctx.table.values[ctx.table.offset :]
 
     # walk the recurrence down from the H-index of size n to 1, drawing per
-    # level the first s whose cumulative weight exceeds r, uniform below H[h]
+    # level the first s whose cumulative weight C(1+(h-s)(k-1), s) H[h-s]
+    # exceeds r, uniform below H[h]; a level typically scans one to three
     takes: list[int] = []
     h = (n - 1) // (k - 1)
     while h > 1:
         r = _randbelow(ctx.rng, H[h])
         acc = 0
-        for s, c in exact._coefficients(k, h):
-            acc += c * H[h - s]
+        for s in range(1, exact.kary_smax(h, k) + 1):
+            acc += math.comb(1 + (h - s) * (k - 1), s) * H[h - s]
             if r < acc:
                 takes.append(s)
                 h -= s

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import eq, index
-from typing import Iterator, Optional, Union
+from typing import Iterator, NoReturn, Optional, Union
 
 
 class _Bullet:
@@ -72,17 +72,24 @@ Slot = Union[None, _Bullet, "Node"]
 Path = tuple[int, ...]
 
 
+def _foreign_slot(slot: object, allowed: str = "a node, a bullet or None") -> NoReturn:
+    """Raise the one-line ValueError of a reader that meets a slot holding something else."""
+    raise ValueError(f"slot holds {type(slot).__name__}, not {allowed}")
+
+
 def _stream(root: "Node") -> Iterator[tuple[int, tuple[int, ...]]]:
     """Preorder (label, slot occupancy) pairs; a slot is 0 empty, 1 bullet, 2 child node.
 
     The occupancies say where each subtree ends, so no stream is a proper
     prefix of another, and two streams that agree pair by pair are equal.
+    A slot holding anything else raises ValueError.
     """
     stack = [root]
     while stack:
         node = stack.pop()
         slots = node.slots
-        occupancy = tuple(2 if isinstance(x, Node) else 1 if x is BULLET else 0 for x in slots)
+        occupancy = tuple(2 if isinstance(x, Node) else 1 if x is BULLET else 0 if x is None
+                          else _foreign_slot(x) for x in slots)
         yield node.label, occupancy
         stack.extend(x for x in reversed(slots) if isinstance(x, Node))
 
@@ -200,7 +207,8 @@ def _tally(root: Node) -> tuple[int, int, int, int]:
     """(bullets, labeled nodes, maximal label, depth) of a subtree.
 
     One walk, level by level, so the depth is the number of levels and no
-    node needs its path or depth stored.
+    node needs its path or depth stored.  A slot that is neither a bullet
+    nor a node raises ValueError.
     """
     bullets = nodes = depth = 0
     top = root.label
@@ -217,6 +225,8 @@ def _tally(root: Node) -> tuple[int, int, int, int]:
                     bullets += 1
                 elif isinstance(slot, Node):
                     below.append(slot)
+                else:
+                    _foreign_slot(slot, "a node or a bullet")
         level = below
     return bullets, nodes, top, depth
 
@@ -529,7 +539,10 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def canonical_encoding(t: CompletedTree) -> bytes:
-    """Serialize a completed tree to its canonical byte string."""
+    """Serialize a completed tree to its canonical byte string.
+
+    A slot that is neither a bullet nor a node raises ValueError.
+    """
     k = t.arity
     mask_len = (k + 7) // 8
     out = bytearray()
@@ -550,6 +563,8 @@ def canonical_encoding(t: CompletedTree) -> bytes:
             if isinstance(slot, Node):
                 mask |= 1 << i
                 push(slot)
+            elif slot is not BULLET:
+                _foreign_slot(slot, "a node or a bullet")
         if mask_len == 1:
             out.append(mask)
         else:
@@ -637,7 +652,11 @@ def decode_encoding(data: bytes) -> CompletedTree:
 
 
 def render_indented(tree: Union[LabeledTree, CompletedTree]) -> str:
-    """Indented preorder listing; one line per slot, bullets shown as '*'."""
+    """Indented preorder listing; one line per slot, bullets shown as '*'.
+
+    Empty slots get no line; a slot holding anything but ``None``,
+    ``BULLET`` or a ``Node`` raises ValueError.
+    """
     lines = []
     stack: list[tuple[int, int, Slot]] = [(0, -1, tree.root)]  # (depth, slot index, content)
     while stack:
@@ -649,6 +668,8 @@ def render_indented(tree: Union[LabeledTree, CompletedTree]) -> str:
                 stack.append((depth + 1, j, slot.slots[j]))
         elif slot is BULLET:
             lines.append(f"{head}*")
+        elif slot is not None:
+            _foreign_slot(slot)
     return "\n".join(lines) + "\n"
 
 

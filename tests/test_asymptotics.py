@@ -306,9 +306,8 @@ def _scaled_h_per_term(k, N, seed):
     h = [0, fx.of(seed)]
     for n in range(2, N + 1):
         acc = 0
-        for s, b in exact._coefficients(k, n):
-            if s >= len(weights):
-                break
+        for s in range(1, min(exact.kary_smax(n, k) + 1, len(weights))):
+            b = math.comb(1 + (n - s) * (k - 1), s)
             acc += weights[s] * h[n - s] * b // (math.comb(n, s) * scales[s])
         h.append(acc)
     return [fx.to_mpf(v) for v in h]
@@ -561,9 +560,8 @@ def _correction_a_per_term(N, b):
     a = [0] * (N + 1)
     for n in range(3, N + 1):
         acc = 0
-        for l, g in exact._coefficients(2, n - 1):  # g = C(n-l, l)
-            if l >= len(w):
-                break
+        for l in range(1, min(n // 2 + 1, len(w))):
+            g = math.comb(n - l, l)
             c = math.comb(n - 1, l)
             num = n * (g - c) + l * (l - 1) * c
             acc += w[l] * bf[n - l] * num // (n * c << fx.bits)

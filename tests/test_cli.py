@@ -273,6 +273,31 @@ def test_oeis_check_rejects_a_negative_bound(capsys):
     assert capsys.readouterr().err == "witrees: error: --upto must be nonnegative, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "argv, least",
+    [(["table", "--upto", "1"], 2),
+     (["table", "--kind", "Bmn", "--upto", "1"], 2),
+     (["table", "--kind", "H", "--upto", "0"], 1),
+     (["table", "--k", "3", "--upto", "0"], 1),
+     (["table", "--k", "3", "--upto", "-4"], 1),
+     (["scaled", "--upto", "1"], 2),
+     (["scaled", "--kind", "a", "--upto", "0"], 2),
+     (["scaled", "--kind", "h", "--k", "3", "--upto", "0"], 1)],
+)
+def test_too_small_an_upto_is_refused_by_its_flag(tmp_path, capsys, argv, least):
+    # not by the builder's own argument name (N, M), and before building
+    from witrees import cli
+
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"witrees: error: --upto must be >= {least}, got {argv[-1]}\n"
+    )
+    assert not out.exists()
+    assert cli.main([*argv[:-1], str(least), "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("kind", ["B", "Bmn"])
 def test_table_binary_kinds_reject_other_arities(tmp_path, capsys, kind):
     from witrees import cli
@@ -396,7 +421,7 @@ class _Built(Exception):
      (["oeis-check", "--self", "--upto", "{}"], "--upto", 50),
      (["scaled", "--upto", "{}"], "--upto", 10000),
      (["scaled", "--kind", "a", "--upto", "{}"], "--upto", 4000),
-     (["scaled", "--upto", "0", "--digits", "{}"], "--digits", 70),
+     (["scaled", "--kind", "h", "--k", "3", "--upto", "1", "--digits", "{}"], "--digits", 70),
      (["estimate", "alpha", "--N", "{}"], "--N", 2000),
      (["estimate", "eta", "--N", "{}"], "--N", 10000),
      (["estimate", "eta", "--method", "integral", "--N", "{}"], "--N", 4000),

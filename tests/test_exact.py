@@ -114,12 +114,16 @@ def test_funceq_iterates_count_trees_by_max_label(bmn60):
 def test_funceq_names_the_degree_a_wrong_binomial_breaks(monkeypatch):
     # C(20, 17) is read only at degree 37; the Horner check of the
     # equation uses no binomial, so it sees the wrong coefficient
-    real = math.comb
+    real = exact._series_rows
 
-    def corrupted(p, q):
-        return real(p, q) + ((p, q) == (20, 17))
+    def corrupted(N):
+        for n, lo, row in real(N):
+            if n == 37:
+                assert row[20 - lo] == math.comb(20, 17)
+                row[20 - lo] += 1
+            yield n, lo, row
 
-    monkeypatch.setattr(math, "comb", corrupted)
+    monkeypatch.setattr(exact, "_series_rows", corrupted)
     with pytest.raises(RuntimeError, match=r"at degree 37$"):
         count_binary_funceq(60)
 
@@ -162,17 +166,18 @@ def test_stratified_entries_match_repeated_substitution(bmn60):
 
 
 def test_stratified_takes_each_binomial_once(monkeypatch):
-    # one row per size n, shared by every m: C(p, n-p) is asked for at most once
+    # one row per size n, shared by every m: each row is stepped once
     calls: Counter = Counter()
-    real = math.comb
+    real = exact._series_rows
 
-    def counted(p, q):
-        calls[p, q] += 1
-        return real(p, q)
+    def counted(N):
+        for n, lo, row in real(N):
+            calls[n] += 1
+            yield n, lo, row
 
-    monkeypatch.setattr(math, "comb", counted)
+    monkeypatch.setattr(exact, "_series_rows", counted)
     count_by_max_label(60)
-    assert calls and max(calls.values()) == 1
+    assert calls == Counter(range(3, 61))
 
 
 def test_stratified_against_enumeration_oracle(bmn60):
@@ -325,11 +330,19 @@ def test_residues_follow_the_exact_recurrence():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)), st.integers(0, 80))
-def test_stepped_coefficients_equal_library_binomials(k, m):
-    last = exact.kary_smax(m, k)
-    expected = [(s, math.comb(1 + (m - s) * (k - 1), s)) for s in range(1, last + 1)]
-    assert list(exact._coefficients(k, m)) == expected
+@given(st.sampled_from((2, 3, 4, 13, 49, 10**6, 10**12)),
+       st.lists(st.integers(), min_size=2, max_size=80), st.data())
+def test_column_sums_equal_the_recurrence_with_library_binomials(k, H, data):
+    # any values, and any start (a resumed build starts past 2): each sum
+    # is the recurrence's, read from H with math.comb binomials
+    start = data.draw(st.integers(2, len(H)))
+    stop = len(H)  # the sum at m reads H[0..m-1]
+    expected = [
+        sum(math.comb(1 + (m - s) * (k - 1), s) * H[m - s]
+            for s in range(1, m - (m + k - 2) // k + 1))
+        for m in range(start, stop + 1)
+    ]
+    assert list(exact._column_sums(k, H, start, stop)) == expected
 
 
 # ---------------------------------------------------------------- brute force

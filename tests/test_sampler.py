@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -13,7 +14,6 @@ from witrees.exact import CountTable
 from witrees.sampler import (
     SamplerContext,
     TreeStatistics,
-    _expansion_weights,
     _randbelow,
     _subset_indices,
     _walk_histories,
@@ -127,6 +127,17 @@ def test_sample_deterministic_under_seed():
     assert [canonical_encoding(sample_uniform(other, 15)) for _ in range(5)] != runs[0]
 
 
+def expansion_weights(ctx, m):
+    """(s, weight) pairs for one step down from table index ``m``, by math.comb.
+
+    With h = m - offset the H-index, expanding s leaves of a tree counted
+    at index m - s has weight C(1+(h-s)(k-1), s) * entry(m - s).
+    """
+    k, h = ctx.k, m - ctx.table.offset
+    return [(s, math.comb(1 + (h - s) * (k - 1), s) * ctx.table.entry(m - s))
+            for s in range(1, exact.kary_smax(h, k) + 1)]
+
+
 def reference_sample(ctx, n):
     """The sampler replayed by rebuilding the tree at every growth step.
 
@@ -141,7 +152,7 @@ def reference_sample(ctx, n):
     while m > base_index:
         r = _randbelow(ctx.rng, ctx.table.entry(m))
         acc = 0
-        for l, w in _expansion_weights(ctx, m):
+        for l, w in expansion_weights(ctx, m):
             acc += w
             if r < acc:
                 takes.append(l)
@@ -155,7 +166,7 @@ def reference_sample(ctx, n):
     return t
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 13])
 def test_sample_equals_the_rebuilding_reference(k):
     for seed in range(50):
         n = 1 + (k - 1) * (1 + seed)
@@ -213,10 +224,10 @@ def test_sample_zero_count_sizes_rejected():
 def test_expansion_weights_normalize_exactly():
     ctx = SamplerContext.create(2, 40, seed=0)
     for m in range(3, 41):
-        assert sum(w for _, w in _expansion_weights(ctx, m)) == ctx.table.entry(m)
+        assert sum(w for _, w in expansion_weights(ctx, m)) == ctx.table.entry(m)
     ctx3 = SamplerContext.create(3, 81, seed=0)
     for m in range(2, 41):
-        assert sum(w for _, w in _expansion_weights(ctx3, m)) == ctx3.table.entry(m)
+        assert sum(w for _, w in expansion_weights(ctx3, m)) == ctx3.table.entry(m)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -106,6 +106,31 @@ def test_validate_reports_a_slot_holding_something_else_as_malformed():
         complete(LabeledTree(Node(1, (5, None))), 2)
 
 
+@pytest.mark.parametrize("foreign", ["x", 5, 2.5, ()])
+def test_readers_that_skip_validate_refuse_a_foreign_slot(foreign):
+    # a completed tree holds bullets and nodes only, a labeled one also None;
+    # anything else would be dropped, miscounted or read as a bullet
+    deep = Node(1, (BULLET, Node(2, (foreign, BULLET))))
+    for root in (Node(1, (foreign, BULLET)), deep):
+        t, twin = CompletedTree(2, root), Node(1, root.slots)
+        for read in (lambda: t.size, lambda: t.max_label, lambda: canonical_encoding(t),
+                     lambda: render_indented(t), lambda: hash(twin), lambda: root == twin):
+            with pytest.raises(ValueError, match=rf"^slot holds {type(foreign).__name__}, not "):
+                read()
+    with pytest.raises(ValueError, match="^slot holds str, not a node, a bullet or None$"):
+        render_indented(LabeledTree(bin_node(1, None, Node(2, ("x", None)))))
+
+
+def test_completed_tree_readers_refuse_an_empty_slot():
+    t = CompletedTree(2, Node(1, (None, BULLET)))
+    for read in (lambda: t.size, lambda: canonical_encoding(t)):
+        with pytest.raises(ValueError, match="^slot holds NoneType, not a node or a bullet$"):
+            read()
+    # an empty slot is part of a labeled tree: rendered as no line, compared as empty
+    assert render_indented(t) == "1\n  1: *\n"
+    assert Node(1, (None, BULLET)) != Node(1, (BULLET, BULLET))
+
+
 def test_validate_figure_tree():
     assert validate(figure_tree(), 2)
 
