@@ -14,10 +14,14 @@ the kind.  A file with no entries, even one with a valid header, is refused
 as empty.  Files are written atomically (temp file in the target directory,
 then rename).
 
-A load re-runs the size recurrence modulo the prime 2^61 - 1
-(:func:`witrees.exact.h_residues`): every B/H entry must match it, and every
-row of a Bmn table must sum to B_n.  A file that fails is refused with a
-:class:`CacheError` naming the first bad index; it is never returned.
+A load checks the values by the package's one table check,
+``exact._first_bad_residue``: the size recurrence re-run modulo the prime
+2^61 - 1, which every B/H entry must match and every row of a Bmn table
+must sum to.  The residues are compared as they are drawn, so the check
+stops at the first bad index, and a long file bad early is refused at
+once.  An entry off by a multiple of the prime passes.  A file that fails
+is refused with a :class:`CacheError` naming the first bad index; it is
+never returned.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ import tempfile
 from typing import Union
 
 from .exact import (
-    CHECK_PRIME,
     ROUTE_RECURRENCE,
     CountTable,
     LabelStratifiedTable,
-    h_residues,
+    _first_bad_residue,
     unlimited_int_digits,
 )
 
@@ -41,12 +44,6 @@ _HEADER_RE = re.compile(r"^# wit-cache v1 kind=(B|H|Bmn) k=(\d+)$")
 
 class CacheError(ValueError):
     """Malformed, mismatched or corrupt cache file."""
-
-
-def _first_bad(values: list[int], k: int) -> int | None:
-    """Index of the first of H_0..H_M that is not the recurrence value mod p."""
-    expected = h_residues(k, max(len(values) - 1, 1))
-    return next((m for m, v in enumerate(values) if v % CHECK_PRIME != expected[m]), None)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -132,7 +129,7 @@ def cache_load(
         # rows 2..bound must all be present; stop at the first gap, so that a
         # crafted n far beyond the file's length allocates nothing
         gap = next((i for i, n in enumerate(sorted(row_sums), start=2) if n != i), bound + 1)
-        bad = _first_bad([row_sums.get(n, 0) for n in range(1, gap)], 2)  # B_n = H_{n-1}
+        bad = _first_bad_residue(2, [row_sums.get(n, 0) for n in range(1, gap)])  # B_n = H_{n-1}
         if bad is None and gap <= bound:
             bad = gap - 1
         if bad is not None:
@@ -144,7 +141,7 @@ def cache_load(
         table = CountTable(k, kind, ROUTE_RECURRENCE, tuple(entries))
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from None
-    bad = _first_bad(entries[table.offset :], k)
+    bad = _first_bad_residue(k, entries[table.offset :])
     if bad is not None:
         raise CacheError(
             f"{path}: index {bad + table.offset} does not match the size recurrence "

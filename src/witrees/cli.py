@@ -64,10 +64,10 @@ def _table_bits(k: int, M: int) -> float:
 
 
 def _cubic_bits(k: int, M: int) -> float:
-    """About M rows of a table: held by the label-stratified table, and
-    multiplied by the series route's sweep and the sampler's weight check
-    (work, not memory, kept so that an accepted size does not run for
-    hours)."""
+    """About M rows of a table: held by the label-stratified table, and a
+    stand-in for the work of the series route's sweep and of the exact
+    table build behind the sampler (work, not memory, kept so that an
+    accepted size does not run for hours)."""
     return 2 * max(M, 0) * _table_bits(k, M) / 3
 
 
@@ -82,9 +82,10 @@ def _brute_bits(k: int, n: int) -> int:
 
 
 def _sample_bits(k: int, n: int) -> float:
-    """The sampler's table and one tree of size n, plus the M^3 bits that
-    ``SamplerContext.create`` multiplies to check the weights: work, not
-    memory, kept so that an accepted size does not run for hours."""
+    """The sampler's table and one tree of size n, plus M tables standing
+    for the work of building the exact table (its check is taken modulo a
+    prime and costs far less): work, not memory, kept so that an accepted
+    size does not run for hours."""
     M = _h_index(k, n)
     return _table_bits(k, M) + _cubic_bits(k, M) + n * TREE_SLOT_BITS
 
@@ -301,10 +302,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
-    if args.upto < 0:
-        raise ValueError(f"--upto must be nonnegative, got {args.upto}")
+    _check_least("--upto", args.upto, 9)  # find_shift needs 10 matching values, n = 0..9
     _check_size("--upto", args.upto, lambda N: _table_bits(2, N))
-    table = exact.count_binary_upto(max(args.upto, 2))
+    table = exact.count_binary_upto(args.upto)
     if args.self_check:
         bfile = oeis.OeisBFile(
             args.id, tuple((n, table.entry(n)) for n in range(args.upto + 1))

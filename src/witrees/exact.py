@@ -251,8 +251,7 @@ def _column_sums(k: int, H, start: int, stop: int):
     ints, not a product of two big ones, so a large arity sums as fast as a
     small one.  The live columns are built once with math.comb from
     H[0..start-2]; H[m-1] is read only when the sum at m is due, so a caller
-    may append each sum to ``H`` as it goes.  At m the live columns are the
-    weights C(1+(m-s)(k-1), s) H_{m-s} of the sampler's step down from m.
+    may append each sum to ``H`` as it goes.
     """
     # the live columns after step start - 1: j >= ceil((start - 2) / k)
     lo = (start + k - 3) // k
@@ -288,13 +287,15 @@ def _h_counts(k: int, M: int) -> list[int]:
 CHECK_PRIME = (1 << 61) - 1
 
 
-def h_residues(k: int, M: int) -> list[int]:
-    """H_0..H_M modulo the prime p = CHECK_PRIME, by the size recurrence (M >= 1).
+def h_residues(k: int, M: int):
+    """Yield H_0..H_M modulo the prime p = CHECK_PRIME, by the size recurrence (M >= 1).
 
     Written as a sum over j = m - s, H_m = sum_j C(a_j, m-j) H_j with
     a_j = 1 + j(k-1), and C(a_j, s) = a_j (a_j - 1) ... (a_j - s + 1) / s!.
     Column j keeps H_j times that falling factorial and gains one factor
-    per step of m, so memory and work are O(M) and O(M^2) whatever k.
+    per step of m, so memory and work are O(M) and O(M^2) whatever k.  Each
+    residue is yielded as soon as it is summed, so a caller that stops at
+    index m pays O(M + m^2), not O(M^2).
     """
     p = CHECK_PRIME
     inv_fact = [1] * (M + 1)
@@ -304,8 +305,8 @@ def h_residues(k: int, M: int) -> list[int]:
     inv_fact[M] = pow(f, p - 2, p)
     for i in range(M, 2, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
-    R = [0, 1]
-    col = [0] * (M + 1)
+    yield from (0, 1)
+    r, col = 1, [0] * (M + 1)
     mod_p = p.__rmod__
     for m in range(2, M + 1):
         lo = m - kary_smax(m, k)  # columns j < lo no longer contribute
@@ -313,9 +314,23 @@ def h_residues(k: int, M: int) -> list[int]:
         col[lo : m - 1] = map(
             mod_p, map(mul, col[lo : m - 1], range(lo * k + 2 - m, (m - 1) * k + 2 - m, k))
         )
-        col[m - 1] = (1 + (m - 1) * (k - 1)) * R[m - 1] % p
-        R.append(sum(map(mul, col[lo:m], inv_fact[m - lo : 0 : -1])) % p)
-    return R
+        col[m - 1] = (1 + (m - 1) * (k - 1)) * r % p
+        r = sum(map(mul, col[lo:m], inv_fact[m - lo : 0 : -1])) % p
+        yield r
+
+
+def _first_bad_residue(k: int, H) -> int | None:
+    """H-index of the first of H_0..H_M that is not the recurrence value mod p, or None.
+
+    The one check of an exact table: the sampler runs it on the table it
+    builds and the cache on every table it loads.  Each entry is compared
+    with :func:`h_residues`, a formula independent of the column sums that
+    build the table, as the residue is drawn, so the check stops at the
+    first bad index.  Equality is taken modulo p = CHECK_PRIME: an entry
+    off by a multiple of p passes.
+    """
+    residues = h_residues(k, max(len(H) - 1, 1))
+    return next((m for m, (h, r) in enumerate(zip(H, residues)) if h % CHECK_PRIME != r), None)
 
 
 def count_kary_upto(k: int, M: int) -> CountTable:

@@ -19,9 +19,11 @@ C(1+(m-s)(k-1), s) * H_{m-s} / H_m (for binary trees of size n = m+1 this
 is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
 uniform, not merely approximately so.  ``SamplerContext.create`` checks
-the weights' normalization once for its whole table, summing them by the
-table build's own column sums (``exact._column_sums``); the descent takes
-each weight it scans from ``math.comb`` and keeps nothing.  The
+its whole table once against the size recurrence, by the package's one
+table check (``exact._first_bad_residue``, taken modulo 2^61 - 1 by a
+formula independent of the table build); the weights at m sum to H_m
+exactly when H_m is the recurrence's value.  The descent takes each
+weight it scans from ``math.comb`` and keeps nothing.  The
 expansions are replayed by ``evolution_step`` on a flat mutable
 ``GrowingTree`` (labels, child ids and the preorder leaf list) at O(n)
 per growth step, and the immutable tree is built once at the end; the
@@ -156,16 +158,19 @@ class SamplerContext:
     def create(cls, k: int, max_size: int, seed: int) -> "SamplerContext":
         """Build a context whose table covers all sizes up to ``max_size``.
 
-        Asserts that the expansion weights sum to the entry at every
-        H-index from 2 up, once, before any sample is drawn: the weights of
-        the step down from H-index h are the live columns of
-        ``exact._column_sums`` at h, summed from the table's own entries.
+        Asserts once, before any sample is drawn, that the expansion
+        weights sum to the entry at every index: the weights of the step
+        down from H-index h sum to the recurrence's H_h, so the table is
+        checked against the size recurrence by ``exact._first_bad_residue``.
+        That check is independent of the build and stops at the first bad
+        index, but it is taken modulo 2^61 - 1: an entry off by a multiple
+        of that prime passes.
         """
         ctx = cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
-        H = ctx.table.values[ctx.table.offset :]
-        for m, total in enumerate(exact._column_sums(k, H, 2, len(H) - 1), 2 + ctx.table.offset):
-            if total != ctx.table.values[m]:
-                raise AssertionError(f"expansion weights at index {m} do not sum to the count")
+        bad = exact._first_bad_residue(k, ctx.table.values[ctx.table.offset :])
+        if bad is not None:
+            m = bad + ctx.table.offset
+            raise AssertionError(f"expansion weights at index {m} do not sum to the count")
         return ctx
 
 

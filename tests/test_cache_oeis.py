@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from witrees import exact
 from witrees.cache import CacheError, cache_load, cache_save
 from witrees.exact import (
     LabelStratifiedTable,
@@ -140,6 +141,31 @@ def test_one_digit_change_names_the_first_bad_index(tmp_path, capsys):
         f"witrees: error: {p}: index 8 does not match the size recurrence "
         "(checked modulo 2^61 - 1)\n"
     )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_long_file_bad_early_is_refused_at_its_first_bad_index(tmp_path, monkeypatch, k):
+    # 5,000 entries with entry 2 wrong: the check draws the residues of
+    # indices 0..2 and no further, so the length of the file does not matter
+    values = [0, 1, count_kary_upto(k, 2).entry(2) + 1] + [1] * 4997
+    p = tmp_path / "h.txt"
+    rows = "".join(f"{i}\t{v}\n" for i, v in enumerate(values))
+    p.write_text(f"# wit-cache v1 kind=H k={k}\n{rows}")
+    drawn = []
+    real = exact.h_residues
+
+    def counted(k, M):
+        for r in real(k, M):
+            drawn.append(r)
+            yield r
+
+    monkeypatch.setattr(exact, "h_residues", counted)
+    with pytest.raises(CacheError) as info:
+        cache_load(str(p))
+    assert str(info.value) == (
+        f"{p}: index 2 does not match the size recurrence (checked modulo 2^61 - 1)"
+    )
+    assert len(drawn) == 3
 
 
 def test_a_corrupt_binary_entry_is_refused_by_its_index(tmp_path, btab300):

@@ -267,10 +267,14 @@ def test_count_rows_are_streamed(monkeypatch):
 
 
 def test_oeis_check_rejects_a_negative_bound(capsys):
+    # find_shift needs 10 matching values, so a bound below 9 is refused by its flag
     from witrees import cli
 
-    assert cli.main(["oeis-check", "--self", "--upto", "-3"]) == 1
-    assert capsys.readouterr().err == "witrees: error: --upto must be nonnegative, got -3\n"
+    for upto in (-3, 0, 8):
+        assert cli.main(["oeis-check", "--self", "--upto", str(upto)]) == 1
+        assert capsys.readouterr().err == f"witrees: error: --upto must be >= 9, got {upto}\n"
+    assert cli.main(["oeis-check", "--self", "--upto", "9"]) == 0
+    assert "status=ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -321,12 +321,12 @@ def test_an_interrupted_build_leaves_a_prefix_that_resumes(monkeypatch):
 def test_residues_follow_the_exact_recurrence():
     p = exact.CHECK_PRIME
     for k, M in ((2, 90), (3, 60), (5, 40)):
-        assert exact.h_residues(k, M) == [h % p for h in _fresh_h_counts(k, M)]
+        assert list(exact.h_residues(k, M)) == [h % p for h in _fresh_h_counts(k, M)]
     # an arity far beyond any factorial table: C(a, s) with a > p
     k, H = 10**20, [0, 1]
     for m in range(2, 13):
         H.append(sum(binom(1 + (m - s) * (k - 1), s) * H[m - s] for s in range(1, m)))
-    assert exact.h_residues(k, 12) == [h % p for h in H]
+    assert list(exact.h_residues(k, 12)) == [h % p for h in H]
 
 
 @settings(max_examples=200, deadline=None)

@@ -247,6 +247,22 @@ def test_create_refuses_a_table_that_breaks_the_recurrence(monkeypatch, k):
         SamplerContext.create(k, 1 + 20 * (k - 1), seed=0)
 
 
+@pytest.mark.parametrize("k, index", [(2, 11), (3, 10)])
+def test_create_catches_a_fault_in_the_table_build(monkeypatch, k, index):
+    # the build's own column sums go wrong at H-index 10; create checks the
+    # table by residues, not by those sums, so it names the entry
+    real = exact._column_sums
+
+    def faulty(k, H, start, stop):
+        for m, total in enumerate(real(k, H, start, stop), start):
+            yield total + (m == 10)
+
+    monkeypatch.setattr(exact, "_H_MEMO", {})
+    monkeypatch.setattr(exact, "_column_sums", faulty)
+    with pytest.raises(AssertionError, match=f"expansion weights at index {index} do not sum"):
+        SamplerContext.create(k, 1 + 20 * (k - 1), seed=0)
+
+
 def test_sampling_holds_no_per_index_state():
     # with the table built beforehand, create and the samples allocate one
     # index's weights at a time, not a cache of every visited index
