@@ -32,6 +32,7 @@ from .exact import (
     count_binary_funceq,
     count_binary_upto,
     count_by_max_label,
+    count_kary_funceq,
     count_kary_upto,
     count_upto_size,
 )

@@ -65,9 +65,10 @@ def _table_bits(k: int, M: int) -> float:
 
 def _cubic_bits(k: int, M: int) -> float:
     """About M rows of a table: held by the label-stratified table, and a
-    stand-in for the work of the series route's sweep and of the exact
-    table build behind the sampler (work, not memory, kept so that an
-    accepted size does not run for hours)."""
+    stand-in for work (not memory, kept so that an accepted size does not
+    run for hours): of the exact table build behind the sampler, and, at
+    M + 1 and times k - 1, of the series route's sweep, whose rows are
+    stepped k - 1 times per H-index."""
     return 2 * max(M, 0) * _table_bits(k, M) / 3
 
 
@@ -146,10 +147,10 @@ def cmd_count(args) -> int:
         raise ValueError(f"size must be nonnegative, got {bound}")
     flag = "--n" if args.upto is None else "--upto"
     if args.route == "funceq":
-        if k != 2:
-            raise ValueError("the functional-equation route is binary only")
-        _check_size(flag, bound, lambda n: _cubic_bits(2, n))
-        table = exact.count_binary_funceq(max(bound, 2))
+        _check_size(flag, bound,
+                    lambda n: (k - 1) * _cubic_bits(k, _h_index(k, n) + 1) if n >= k else 0)
+        table = (exact.count_binary_funceq(max(bound, 2)) if k == 2
+                 else exact.count_kary_funceq(k, max(1, _h_index(k, bound))))
         get = table.g
     elif args.route == "brute":
         _check_size(flag, bound, lambda n: _brute_bits(k, n))

@@ -13,12 +13,14 @@ Three independent routes are implemented:
   The tables sum it by columns j = m - s, each holding H_j C(a_j, m-j), so
   a term costs a multiply and an exact division by small ints.
 
-* ``count_binary_funceq``: the generating-function equation
-  B(z) = z^2 + B(z + z^2) - B(z) read off degree by degree in one ascending
-  sweep, since each coefficient depends only on lower ones, against
-  binomial rows stepped by Pascal's rule; the truncated
-  series is then checked against the equation by composing B(z + z^2)
-  with Horner's rule, which uses no binomial.
+* ``count_kary_funceq``: the generating-function equation
+  S(z) = z^k + S(z + z^k) - S(z) read off at the lattice degrees in one
+  ascending sweep, since each coefficient depends only on lower ones,
+  against one binomial row stepped by Pascal's rule; the truncated series
+  is then checked against the equation in w = z^(k-1),
+  2 H(w) = w + (1 + w) H(w (1 + w)^(k-1)), composed by Horner's rule,
+  which uses no binomial.  ``count_binary_funceq`` is its k = 2 view
+  indexed by size, and ``count_by_max_label`` reads the same k = 2 rows.
 
 * ``brute_force_count``: exhaustive generation of all growth histories
   (delegated to :mod:`witrees.sampler`), feasible for small sizes only.
@@ -151,54 +153,72 @@ def count_binary_upto(N: int) -> CountTable:
     return CountTable(2, "B", ROUTE_RECURRENCE, (0, *_h_counts(2, N - 1)))
 
 
-def _series_rows(N: int):
-    """Yield (n, lo, [C(p, n-p) for p = lo..n-1]) for n = 3..N, lo = ceil(n/2).
+def _series_rows(k: int, M: int):
+    """Yield (j, [C(a_j, q) for q = 0..min(a_j, M-j)]) for j = 1..M-1, a_j = 1 + (k-1)j.
 
-    The row takes z -> z + z^2 from degree p to n.  Both binary series
-    builders read it.  Rows are stepped by Pascal's rule, C(p, n-p) =
-    C(p-1, n-p) + C(p-1, n-p-1): entry p of row n is the sum of entry p-1
-    of rows n-1 and n-2, so a row costs additions only.  Nothing of the
-    recurrence route is read.
+    The row takes z -> z + z^k from lattice degree a_j to a_j + (k-1)q =
+    a_{j+q}; both series builders read it.  One Pascal row C(p, .) is kept
+    and stepped along p by C(p, q) = C(p-1, q) + C(p-1, q-1), so a row
+    costs additions only; it is cut at q <= M - j, the highest entry a
+    later degree still reads.  The yielded list is that row, stepped on
+    after the reader resumes.  Nothing of the recurrence route is read.
     """
-    older, old = [0, 1], [0, 1, 1]  # C(p, n-p) for p = 0..n at n = 1 and 2
-    for n in range(3, N + 1):
-        lo = (n + 1) // 2
-        older, old = old, [0] * lo + [*map(add, old[lo - 1 :], older[lo - 1 :]), 1]
-        yield n, lo, old[lo:n]
+    row = [1, 1]  # C(1, .) at p = a_0
+    for j in range(1, M):
+        for _ in range(k - 1):
+            row[1:] = map(add, [*row[1:], 0], row)
+            del row[M - j + 1 :]
+        yield j, row
+
+
+def count_kary_funceq(k: int, M: int) -> CountTable:
+    """Exact H_0..H_M for arity k from the generating-function equation, then checked by it.
+
+    Reading off degree a_m = 1 + (k-1)m of S(z) = z^k + S(z + z^k) - S(z),
+    the substitution contributes sum_{q >= 0} C(a_{m-q}, q) H_{m-q}, whose
+    q = 0 term H_m cancels against the subtracted series, so
+
+        H_m = [m = 1] + sum_{q >= 1} C(a_{m-q}, q) H_{m-q}.
+
+    Every coefficient depends only on lower ones, so one ascending sweep
+    over the rows of :func:`_series_rows` adds each final H_j, times its
+    row, into every later entry.  The table is then checked against the
+    equation itself, which in w = z^(k-1), with S(z) = z H(w), reads
+    2 H(w) = w + (1 + w) H(w (1 + w)^(k-1)).  H(w (1 + w)^(k-1)) mod
+    w^(M+1) is composed by Horner's rule, U <- U w (1 + w)^(k-1) + H_p for
+    p = M..0, by k - 1 shift-adds a step and no binomial.  That system has
+    exactly one solution, so a table that passes is the series of H; one
+    that fails raises RuntimeError naming the first bad degree.
+    """
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    H = [0, 1] + [0] * (M - 1)
+    for j, row in _series_rows(k, M):
+        stop = j + len(row)
+        H[j + 1 : stop] = map(add, H[j + 1 : stop], map(H[j].__mul__, row[1:]))
+    # U holds degrees 0..M-p of sum_{q >= p} H_q t^(q-p), t = w (1 + w)^(k-1);
+    # the rest lands above degree M once the remaining p factors are applied.
+    # Entry 0 is zero while (1 + w) is applied, so on two entries it acts as 1.
+    U: list[int] = []
+    for p in range(M, -1, -1):
+        U = [0, *U]
+        for _ in range(k - 1 if len(U) > 2 else 0):
+            U[2:] = map(add, U[2:], U[1:-1])
+        U[0] = H[p]
+    for m, (h, u, prev) in enumerate(zip(H, U, [0, *U])):
+        if 2 * h != (m == 1) + u + prev:
+            n = 1 + (k - 1) * m
+            raise RuntimeError(f"series fails S(z) = z^{k} + S(z + z^{k}) - S(z) at degree {n}")
+    return CountTable(k, "H", ROUTE_FUNCEQ, tuple(H))
 
 
 def count_binary_funceq(N: int) -> CountTable:
-    """Exact B_0..B_N from the generating-function equation, then checked by it.
-
-    Reading off degree n of S(z) = z^2 + S(z + z^2) - S(z), the
-    substitution contributes sum_{p >= ceil(n/2)} C(p, n-p) S_p, whose
-    diagonal term S_n cancels against the subtracted series, so
-
-        S_n = [n = 2] + sum_{p=ceil(n/2)}^{n-1} C(p, n-p) S_p.
-
-    Every coefficient depends only on lower ones, so one ascending sweep
-    writes each one final, summing against the binomial row of
-    :func:`_series_rows`.  The table is then checked against the
-    equation itself: S(z + z^2) mod z^(N+1) is composed by Horner's rule,
-    U <- U (z + z^2) + S_p for p = N..0, which shifts and adds and uses no
-    binomial, and 2 S_n = [n = 2] + U_n must hold at every degree.  That
-    system has exactly one solution, so a table that passes is the series
-    of B; one that fails raises RuntimeError naming the first bad degree.
-    """
+    """Exact B_0..B_N from the generating-function equation: the k = 2 view, B_n = H_{n-1}."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    S = [0, 0, 1] + [0] * (N - 2)
-    for n, lo, row in _series_rows(N):
-        S[n] = sum(map(mul, row, S[lo:n]))
-    # U holds degrees 0..N-p of sum_{q >= p} S_q (z + z^2)^(q-p); the rest
-    # lands above degree N once the remaining p factors are applied
-    U: list[int] = []
-    for p in range(N, -1, -1):
-        U = [S[p], *map(add, U, [0, *U[:-1]])]
-    for n in range(N + 1):
-        if 2 * S[n] != (n == 2) + U[n]:
-            raise RuntimeError(f"series fails B(z) = z^2 + B(z + z^2) - B(z) at degree {n}")
-    return CountTable(2, "B", ROUTE_FUNCEQ, tuple(S))
+    return CountTable(2, "B", ROUTE_FUNCEQ, (0, *count_kary_funceq(2, N - 1).values))
 
 
 def count_by_max_label(N: int) -> LabelStratifiedTable:
@@ -206,17 +226,23 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
 
     B_{1,2} = 1 is the lone seed; a tree whose maximal label is m arises
     from a unique tree with maximal label m-1 by expanding n-p of its p
-    leaves, so column m is the row of :func:`_series_rows` times column m-1:
+    leaves, so column m gains column m-1 through the k = 2 rows of
+    :func:`_series_rows` (p = j + 1):
 
         B_{m,n} = sum_{p=ceil(n/2)}^{n-1} C(p, n-p) * B_{m-1,p}.
+
+    Each B_{m-1,p} is final when row p is drawn and is added, times it,
+    into every later entry of column m.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     B = [[0] * (N + 1) for _ in range(N)]  # B[m][n]
     B[1][2] = 1
-    for n, lo, row in _series_rows(N):
-        for m in range(2, n):
-            B[m][n] = sum(map(mul, row, B[m - 1][lo:n]))
+    for j, row in _series_rows(2, N - 1):
+        p, stop = j + 1, j + 1 + len(row)
+        for m in range(2, p + 1):
+            if x := B[m - 1][p]:
+                B[m][p + 1 : stop] = map(add, B[m][p + 1 : stop], map(x.__mul__, row[1:]))
     values = {(m, n): B[m][n] for n in range(2, N + 1) for m in range(1, n) if B[m][n]}
     return LabelStratifiedTable(N, values)
 

@@ -77,12 +77,13 @@ def test_c02_triple_route_agreement():
     for n in range(2, 10):
         assert exact.brute_force_count(2, n) == rec.entry(n), n
     h3 = exact.count_kary_upto(3, 4)
+    assert exact.count_kary_funceq(3, 4).values == h3.values
     for n in range(1, 10):
         assert exact.brute_force_count(3, n) == h3.g(n), n
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    _ok(2, f"recurrence = functional equation = brute force (binary and ternary, "
-           f"n <= 9) in {elapsed:.1f}s")
+    _ok(2, f"all three routes agree for both arities: recurrence = functional equation "
+           f"= brute force (binary and ternary, n <= 9) in {elapsed:.1f}s")
 
 
 def test_c03_stratification_sums():

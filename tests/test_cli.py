@@ -47,15 +47,18 @@ def test_count_routes_agree():
         cp = run_cli("count", "--k", "2", "--n", "7", "--route", route)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "1652"
+        cp = run_cli("count", "--k", "3", "--n", "7", "--route", route)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "18"
 
 
 def test_count_invalid_flags():
     cp = run_cli("count", "--k", "2")
     assert cp.returncode == 1
     assert "error" in cp.stderr
-    cp = run_cli("count", "--k", "3", "--n", "7", "--route", "funceq")
+    cp = run_cli("count", "--k", "1", "--n", "7", "--route", "funceq")
     assert cp.returncode == 1
-    assert "binary" in cp.stderr
+    assert cp.stderr == "witrees: error: arity must be >= 2\n"
 
 
 def test_sample_deterministic_repeat():
@@ -431,7 +434,8 @@ class _Built(Exception):
      (["estimate", "eta", "--method", "integral", "--N", "{}"], "--N", 4000),
      (["estimate", "exponent", "--k", "3", "--N", "{}"], "--N", 5000),
      (["estimate", "alpha", "--digits", "{}"], "--digits", 70),
-     (["figure", "fig3", "--out", "F", "--digits", "{}"], "--digits", 70)],
+     (["figure", "fig3", "--out", "F", "--digits", "{}"], "--digits", 70),
+     (["count", "--route", "funceq", "--k", "3", "--upto", "{}"], "--upto", 1600)],
 )
 def test_size_limits_are_checked_before_building(monkeypatch, capsys, argv, flag, needed):
     # The builders raise, so a size that passes its guard ends in
@@ -443,8 +447,7 @@ def test_size_limits_are_checked_before_building(monkeypatch, capsys, argv, flag
     def built(*args, **kwargs):
         raise _Built
 
-    for name in ("count_binary_upto", "count_kary_upto", "count_upto_size",
-                 "count_binary_funceq", "count_by_max_label", "brute_force_count"):
+    for name in [n for n in dir(exact) if n.startswith("count_")] + ["brute_force_count"]:
         monkeypatch.setattr(exact, name, built)
     for name in ("scaled_b_recurrence", "scaled_h_recurrence", "correction_a"):
         monkeypatch.setattr(asymptotics, name, built)
@@ -480,6 +483,9 @@ def test_large_arities_answer_at_once():
     assert cp.stdout == f"{(5 * k * k - 3 * k) // 2}\n" == "2499998500000\n"
     cp = run_cli("estimate", "alpha", "--k", str(k), "--N", "100", timeout=20)
     assert cp.returncode == 0, cp.stderr
+    # below size k the series route's footprint is 0 and it steps no row
+    cp = run_cli("count", "--route", "funceq", "--k", str(10**20), "--n", "3", timeout=20)
+    assert (cp.returncode, cp.stdout) == (0, "0\n"), cp.stderr
     cp = run_cli("count", "--route", "brute", "--k", "30000", "--n", str(10**30), timeout=20)
     assert cp.returncode == 1
     assert re.fullmatch(

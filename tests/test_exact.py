@@ -15,6 +15,7 @@ from witrees.exact import (
     count_binary_funceq,
     count_binary_upto,
     count_by_max_label,
+    count_kary_funceq,
     count_kary_upto,
 )
 from witrees.sampler import enumerate_all, tree_statistics
@@ -111,21 +112,30 @@ def test_funceq_iterates_count_trees_by_max_label(bmn60):
             assert iterate[n] == sum(bmn60.entry(m, n) for m in range(1, t + 1)), (t, n)
 
 
-def test_funceq_names_the_degree_a_wrong_binomial_breaks(monkeypatch):
-    # C(20, 17) is read only at degree 37; the Horner check of the
-    # equation uses no binomial, so it sees the wrong coefficient
-    real = exact._series_rows
+@pytest.mark.parametrize("k, M", [(2, 80), (3, 80), (5, 80), (13, 80), (10**6, 3)])
+def test_kary_funceq_matches_recurrence(k, M):
+    assert count_kary_funceq(k, M).values == count_kary_upto(k, M).values
 
-    def corrupted(N):
-        for n, lo, row in real(N):
-            if n == 37:
-                assert row[20 - lo] == math.comb(20, 17)
-                row[20 - lo] += 1
-            yield n, lo, row
+
+@pytest.mark.parametrize("k, j, q, degree", [(2, 19, 17, 37), (3, 10, 5, 31)])
+def test_funceq_names_the_degree_a_wrong_binomial_breaks(monkeypatch, k, j, q, degree):
+    # C(a_j, q) first reaches H_{j+q}, at degree 1 + (k-1)(j+q): later rows
+    # are stepped from it, but they add only into higher entries.  The
+    # Horner check of the equation uses no binomial, so it sees the wrong
+    # coefficient
+    real = exact._series_rows
+    p = 1 + (k - 1) * j
+
+    def corrupted(k, M):
+        for i, row in real(k, M):
+            if i == j:
+                assert row[q] == math.comb(p, q)
+                row[q] += 1
+            yield i, row
 
     monkeypatch.setattr(exact, "_series_rows", corrupted)
-    with pytest.raises(RuntimeError, match=r"at degree 37$"):
-        count_binary_funceq(60)
+    with pytest.raises(RuntimeError, match=rf"at degree {degree}$"):
+        count_binary_funceq(60) if k == 2 else count_kary_funceq(k, 30)
 
 
 # ---------------------------------------------------------------- stratification
@@ -166,18 +176,18 @@ def test_stratified_entries_match_repeated_substitution(bmn60):
 
 
 def test_stratified_takes_each_binomial_once(monkeypatch):
-    # one row per size n, shared by every m: each row is stepped once
+    # one row per degree p = j + 1, shared by every m: each row is stepped once
     calls: Counter = Counter()
     real = exact._series_rows
 
-    def counted(N):
-        for n, lo, row in real(N):
-            calls[n] += 1
-            yield n, lo, row
+    def counted(k, M):
+        for j, row in real(k, M):
+            calls[j + 1] += 1
+            yield j, row
 
     monkeypatch.setattr(exact, "_series_rows", counted)
     count_by_max_label(60)
-    assert calls == Counter(range(3, 61))
+    assert calls == Counter(range(2, 60))
 
 
 def test_stratified_against_enumeration_oracle(bmn60):
