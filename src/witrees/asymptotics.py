@@ -316,12 +316,6 @@ def _weights(k: int) -> list:
     return w
 
 
-def _step_row(row: list, n: int, c: int) -> None:
-    """Step row[s] = C(n-1, s) c^s R to C(n, s) c^s R in place by Pascal's rule."""
-    for s in range(min(n, len(row) - 1), 0, -1):
-        row[s] += c * row[s - 1]
-
-
 def scaled_b_recurrence(N: int, precision: Precision = Precision()) -> ScaledSequence:
     """b_2..b_N seeded with b_2 = (ln 2)^2: the k = 2 kernel, b_n = ln 2 h_{n-1}.
 
@@ -372,12 +366,15 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         (n C(n-l, l) - n C(n-1, l) + l(l-1) C(n-1, l)) / (n C(n-1, l)),
 
     so nothing cancels in rounding, and a_n itself decays like
-    n^{-2-ln 2}.  Both binomials are stepped along n, not recomputed:
-    C(n-1, l) is a row stepped by Pascal's rule, and C(n-l, l) is the k = 2
-    recurrence binomial at H-index n - 1, held in columns j = n - 1 - l
-    (``exact._step_columns``).  Both sums read the one truncated weight
-    list of ``_weights(2)`` and run on ``_Fixed`` integers (b converts to
-    them exactly); each a_n is rounded once to an mpf.
+    n^{-2-ln 2}.  Its terms are read as falling factorials,
+    (p)_l = p (p-1) ... (p-l+1) = l! C(p, l), which gives the same ratio
+    and so the same floor.  They are stepped along n, not recomputed:
+    (n-1)_l is a row stepped by one shifted multiply,
+    (m)_l = m (m-1)_(l-1), and (n-l)_l is the k = 2 recurrence column at
+    H-index n - 1, j = n - 1 - l (``exact._step_columns``).  Both sums read
+    the one truncated weight list of ``_weights(2)`` and run on ``_Fixed``
+    integers (b converts to them exactly); each a_n is rounded once to an
+    mpf.
     """
     if b.kind != "b":
         raise ValueError("correction_a expects a kind-'b' sequence")
@@ -390,16 +387,16 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         L = len(w)
         bf = [fx.of(x) for x in b.values[: N + 1]]
         a = [0] * (N + 1)
-        row = [1, 1] + [0] * (L - 2)  # row[l] = C(m, l), here at m = 1
-        col, lo = [], 1  # col[j - lo] = C(1+j, m-j) for the live j >= lo
+        row = [1, 1] + [0] * (L - 2)  # row[l] = (m)_l, here at m = 1
+        col, lo = [], 1  # col[j - lo] = (1+j)_(m-j) for the live j >= lo
         for n in range(3, N + 1):
             m = n - 1
-            _step_row(row, m, 1)
+            row[1:] = map(m.__mul__, row[:-1])
             lo = _step_columns(col, lo, m, 2, L)
             col.append(m)
             acc = 0
             for l in range(1, m - lo + 1):
-                g, c = col[m - l - lo], row[l]  # C(n-l, l), C(n-1, l)
+                g, c = col[m - l - lo], row[l]  # (n-l)_l, (n-1)_l
                 num = n * (g - c) + l * (l - 1) * c
                 acc += w[l] * bf[n - l] * num // (n * c << fx.bits)
             for l in range(n // 2 + 1, min(n - 1, L)):
@@ -432,12 +429,15 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     summand, W[s] h_{n-s} C(1+(n-s)(k-1), s) // (C(n, s) (k-1)^s).  Each
     value is rounded once to an mpf at the caller's working precision.
 
-    No binomial is computed afresh.  The denominators C(n, s) (k-1)^s 2^bits
-    form a row stepped by Pascal's rule, and the numerators are summed by
-    columns j = n - s, each holding h_j C(1+j(k-1), n-j) and stepped by one
-    small multiply and one exact small division per n
-    (``exact._step_columns``).  Every summand is the same integer as in a
-    term-by-term sum.
+    No binomial is computed.  C(a, s) / C(n, s) is the ratio of the
+    falling factorials (a)_s / (n)_s, (p)_s = p (p-1) ... (p-s+1), so each
+    summand is W[s] h_{n-s} (1+(n-s)(k-1))_s // ((n)_s (k-1)^s 2^bits): the
+    same rational, and so the same integer, as in a term-by-term sum of
+    binomials.  The denominators (n)_s (k-1)^s 2^bits form a row stepped
+    by one shifted multiply per n, den[s] <- n (k-1) den[s-1], and the
+    numerators are summed by columns j = n - s, each holding
+    h_j (1+j(k-1))_(n-j) and stepped by one small multiply per n
+    (``exact._step_columns``).
     """
     fx = _Fixed()
     c = k - 1
@@ -445,9 +445,9 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     L = len(weights)
     den = [1 << fx.bits, c << fx.bits] + [0] * (L - 2)  # den[s] at n = 1
     h = [0, fx.of(seed)]
-    col, lo = [], 1  # col[j - lo] = h_j C(1+j(k-1), n-j) for the live j >= lo
+    col, lo = [], 1  # col[j - lo] = h_j (1+j(k-1))_(n-j) for the live j >= lo
     for n in range(2, N + 1):
-        _step_row(den, n, c)
+        den[1:] = map((n * c).__mul__, den[:-1])
         lo = _step_columns(col, lo, n, k, L)
         col.append((1 + (n - 1) * c) * h[n - 1])
         h.append(sum(map(

@@ -15,13 +15,14 @@ as empty.  Files are written atomically (temp file in the target directory,
 then rename).
 
 A load checks the values by the package's one table check,
-``exact._first_bad_residue``: the size recurrence re-run modulo the prime
-2^61 - 1, which every B/H entry must match and every row of a Bmn table
-must sum to.  The residues are compared as they are drawn, so the check
-stops at the first bad index, and a long file bad early is refused at
-once.  An entry off by a multiple of the prime passes.  A file that fails
-is refused with a :class:`CacheError` naming the first bad index; it is
-never returned.
+``exact._first_bad_residue``: the size recurrence re-run modulo the
+Mersenne prime ``exact.CHECK_PRIME`` = 2^127 - 1, which every B/H entry
+must match and every row of a Bmn table must sum to.  The residues are
+compared as they are drawn, so the check stops at the first bad index,
+and a long file bad early is refused at once.  An entry off by a multiple
+of the prime passes, so none whose error is smaller than the prime does.
+A file that fails is refused with a :class:`CacheError` naming the first
+bad index; it is never returned.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import tempfile
 from typing import Union
 
 from .exact import (
+    CHECK_PRIME,
     ROUTE_RECURRENCE,
     CountTable,
     LabelStratifiedTable,
@@ -40,6 +42,9 @@ from .exact import (
 )
 
 _HEADER_RE = re.compile(r"^# wit-cache v1 kind=(B|H|Bmn) k=(\d+)$")
+
+#: Ends every refusal of a value: CHECK_PRIME is the Mersenne prime 2^e - 1.
+_CHECKED = f"(checked modulo 2^{CHECK_PRIME.bit_length()} - 1)"
 
 
 class CacheError(ValueError):
@@ -81,7 +86,7 @@ def cache_load(
     """Read a table back and check it against the size recurrence.
 
     Header and entry order are validated first; then every value is checked
-    modulo 2^61 - 1 (see the module docstring).  ``expect_kind`` /
+    modulo ``exact.CHECK_PRIME`` (see the module docstring).  ``expect_kind`` /
     ``expect_k`` guard against answering a request for one table with a
     cache of another.
     """
@@ -134,7 +139,7 @@ def cache_load(
             bad = gap - 1
         if bad is not None:
             n = bad + 1
-            raise CacheError(f"{path}: row n={n} does not sum to B_{n} (checked modulo 2^61 - 1)")
+            raise CacheError(f"{path}: row n={n} does not sum to B_{n} {_CHECKED}")
         return LabelStratifiedTable(bound, dict(zip(keys, entries)))
 
     try:
@@ -144,7 +149,6 @@ def cache_load(
     bad = _first_bad_residue(k, entries[table.offset :])
     if bad is not None:
         raise CacheError(
-            f"{path}: index {bad + table.offset} does not match the size recurrence "
-            "(checked modulo 2^61 - 1)"
+            f"{path}: index {bad + table.offset} does not match the size recurrence {_CHECKED}"
         )
     return table

@@ -10,8 +10,11 @@ Three independent routes are implemented:
 
   ``count_binary_upto`` is the k = 2 view indexed by size, B_n = H_{n-1};
   the recurrence then reads B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) B_{n-l}.
-  The tables sum it by columns j = m - s, each holding H_j C(a_j, m-j), so
-  a term costs a multiply and an exact division by small ints.
+  The tables sum it by columns j = m - s, each holding H_j times the
+  falling factorial a_j (a_j - 1) ... (a_j - s + 1) = s! C(a_j, s), so a
+  term costs two multiplies by small ints (the column's next factor and
+  a Horner step in s) and no division; each index ends with one exact
+  division by S!, S its top summation index.
 
 * ``count_kary_funceq``: the generating-function equation
   S(z) = z^k + S(z + z^k) - S(z) read off at the lattice degrees in one
@@ -34,7 +37,7 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import add, floordiv, mul
+from operator import add, mul
 
 #: Refuse brute-force runs expected to produce more trees than this.
 DEFAULT_TREE_GUARD = 2_000_000
@@ -248,23 +251,20 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
 
 
 def _step_columns(col: list, lo: int, m: int, k: int, stop: int | None = None) -> int:
-    """Step the recurrence's binomial columns to H-index m; return their new lowest index.
+    """Step the recurrence's columns to H-index m; return their new lowest index.
 
     ``col`` holds the live columns j = lo..m-2 in order, column j being
-    x_j C(a_j, m-1-j) with a_j = 1 + j(k-1).  At m the live columns are
-    those with s = m - j <= kary_smax(m, k) and, given ``stop``, s < stop;
-    the others are removed from the front.  Each one left gains one
-    multiply by a_j - (m-1-j) = jk + 2 - m and one exact division by
-    m - j.  The caller appends column m - 1.
+    x_j times the falling factorial a_j (a_j - 1) ... (a_j - s + 2) of
+    length s - 1 = m-1-j, with a_j = 1 + j(k-1).  At m the live columns
+    are those with s = m - j <= kary_smax(m, k) and, given ``stop``,
+    s < stop; the others are removed from the front.  Each one left gains
+    its next factor, a_j - s + 1 = jk + 2 - m, by one small multiply and
+    no division.  The caller appends column m - 1.
     """
     top = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
     new_lo = m - top
     del col[: new_lo - lo]
-    col[:] = map(
-        floordiv,
-        map(mul, col, range(new_lo * k + 2 - m, (m - 1) * k + 2 - m, k)),
-        range(top, 1, -1),
-    )
+    col[:] = map(mul, col, range(new_lo * k + 2 - m, (m - 1) * k + 2 - m, k))
     return new_lo
 
 
@@ -272,20 +272,31 @@ def _column_sums(k: int, H, start: int, stop: int):
     """Yield the size recurrence's sum for H-index m = start..stop (start >= 2).
 
     The sum is taken over columns j = m - s, as in :func:`h_residues` but
-    exactly: column j holds H_j C(a_j, m-j), and :func:`_step_columns`
-    moves it to the next m by one multiply and one exact division by small
-    ints, not a product of two big ones, so a large arity sums as fast as a
-    small one.  The live columns are built once with math.comb from
-    H[0..start-2]; H[m-1] is read only when the sum at m is due, so a caller
-    may append each sum to ``H`` as it goes.
+    exactly: column j holds c_s = H_j a_j (a_j - 1) ... (a_j - s + 1), and
+    :func:`_step_columns` moves it to the next m by one small multiply, so
+    a large arity sums as fast as a small one.  The sum of the c_s / s! is
+    taken by Horner's rule in s, T <- T s + c_s, which leaves
+    T = sum_s c_s S!/s! = S! sum_s H_j C(a_j, s) for the top index S; one
+    exact division by S!, kept up to date as S grows, ends the index.  The
+    live columns are built once with math.perm from H[0..start-2]; H[m-1]
+    is read only when the sum at m is due, so a caller may append each sum
+    to ``H`` as it goes.
     """
     # the live columns after step start - 1: j >= ceil((start - 2) / k)
     lo = (start + k - 3) // k
-    col = [H[j] * math.comb(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
+    col = [H[j] * math.perm(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
+    top = start - 1 - lo
+    fact = math.factorial(top)
     for m in range(start, stop + 1):
         lo = _step_columns(col, lo, m, k)
         col.append((1 + (m - 1) * (k - 1)) * H[m - 1])
-        yield sum(col)
+        if m - lo > top:  # the top index grows by at most one a step
+            top += 1
+            fact *= top
+        t = 0
+        for s, c in enumerate(reversed(col), 1):
+            t = t * s + c
+        yield t // fact
 
 
 #: The longest list H_0..H_M built so far, per arity k (see _h_counts).
@@ -309,8 +320,10 @@ def _h_counts(k: int, M: int) -> list[int]:
     return H[: M + 1]
 
 
-#: The Mersenne prime 2^61 - 1, the modulus of :func:`h_residues`.
-CHECK_PRIME = (1 << 61) - 1
+#: The Mersenne prime 2^127 - 1, the modulus of :func:`h_residues`.  A wrong
+#: entry passes the table check only if it is off by a multiple of it, so
+#: never when its error is smaller than the prime (about 1.7 10^38).
+CHECK_PRIME = (1 << 127) - 1
 
 
 def h_residues(k: int, M: int):
@@ -350,7 +363,7 @@ def _first_bad_residue(k: int, H) -> int | None:
 
     The one check of an exact table: the sampler runs it on the table it
     builds and the cache on every table it loads.  Each entry is compared
-    with :func:`h_residues`, a formula independent of the column sums that
+    with :func:`h_residues`, which shares no code with the column sums that
     build the table, as the residue is drawn, so the check stops at the
     first bad index.  Equality is taken modulo p = CHECK_PRIME: an entry
     off by a multiple of p passes.

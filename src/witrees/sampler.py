@@ -20,8 +20,8 @@ is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
 uniform, not merely approximately so.  ``SamplerContext.create`` checks
 its whole table once against the size recurrence, by the package's one
-table check (``exact._first_bad_residue``, taken modulo 2^61 - 1 by a
-formula independent of the table build); the weights at m sum to H_m
+table check (``exact._first_bad_residue``, taken modulo 2^127 - 1 by
+code independent of the table build); the weights at m sum to H_m
 exactly when H_m is the recurrence's value.  The descent takes each
 weight it scans from ``math.comb`` and keeps nothing.  The
 expansions are replayed by ``evolution_step`` on a flat mutable
@@ -163,8 +163,8 @@ class SamplerContext:
         down from H-index h sum to the recurrence's H_h, so the table is
         checked against the size recurrence by ``exact._first_bad_residue``.
         That check is independent of the build and stops at the first bad
-        index, but it is taken modulo 2^61 - 1: an entry off by a multiple
-        of that prime passes.
+        index, but it is taken modulo ``exact.CHECK_PRIME`` = 2^127 - 1: an
+        entry off by a multiple of that prime passes.
         """
         ctx = cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
         bad = exact._first_bad_residue(k, ctx.table.values[ctx.table.offset :])

@@ -11,6 +11,7 @@ mathematically false for l = 2 at every n >= 4 (counterexample:
 gamma(10,2) = 7/9 < 1 - 2/10 - 2/100 = 39/50).
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -201,17 +202,29 @@ def test_c06_integral_route_cross_check():
            f"relative (1% budget); flagged 'interpreted'")
 
 
+#: sha256 of the comma-joined hex values of B_0..B_2000 and of H_0..H_2000 at k = 3
+B2000_SHA256 = "71b4d64ad5a14478d70969e7efe3984126527af52258becf8ae098616d81cc8e"
+H3_2000_SHA256 = "858afcb8a45764bb2b7f1247ecb2466c645ced814364cc375ca1784efff20628"
+
+
+def _values_sha256(table) -> str:
+    return hashlib.sha256(",".join(f"{v:x}" for v in table.values).encode()).hexdigest()
+
+
 def test_c07_growth_rate():
     btab = _get("B2000", lambda: exact.count_binary_upto(2000))
+    h3tab = _get("H3_2000", lambda: exact.count_kary_upto(3, 2000))
+    assert _values_sha256(btab) == B2000_SHA256
+    assert _values_sha256(h3tab) == H3_2000_SHA256
     est = asy.estimate_alpha(btab, D30)
     with mp.workdps(D30.dps):
         assert abs(est.value - 1 / mp.ln(2)) <= 2e-3
-    h3tab = _get("H3_2000", lambda: exact.count_kary_upto(3, 2000))
     est3 = asy.estimate_alpha(h3tab, D30)
     with mp.workdps(D30.dps):
         assert abs(est3.value - 2 / mp.ln(2)) <= 5e-3
     _ok(7, f"alpha(binary) = {mp.nstr(est.value, 12)}, "
-           f"alpha(k=3) = {mp.nstr(est3.value, 12)} (Richardson ratio, N=2000)")
+           f"alpha(k=3) = {mp.nstr(est3.value, 12)} (Richardson ratio, N=2000); "
+           "both tables match their pinned sha256")
 
 
 def test_c08_second_order_refinement_bound():

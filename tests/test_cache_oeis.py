@@ -139,7 +139,7 @@ def test_one_digit_change_names_the_first_bad_index(tmp_path, capsys):
     assert out == ""
     assert err == (
         f"witrees: error: {p}: index 8 does not match the size recurrence "
-        "(checked modulo 2^61 - 1)\n"
+        "(checked modulo 2^127 - 1)\n"
     )
 
 
@@ -163,7 +163,7 @@ def test_a_long_file_bad_early_is_refused_at_its_first_bad_index(tmp_path, monke
     with pytest.raises(CacheError) as info:
         cache_load(str(p))
     assert str(info.value) == (
-        f"{p}: index 2 does not match the size recurrence (checked modulo 2^61 - 1)"
+        f"{p}: index 2 does not match the size recurrence (checked modulo 2^127 - 1)"
     )
     assert len(drawn) == 3
 
@@ -178,6 +178,21 @@ def test_a_corrupt_binary_entry_is_refused_by_its_index(tmp_path, btab300):
         p.write_text("".join(bad))
         with pytest.raises(CacheError, match=f"index {n} does not match"):
             cache_load(str(p))
+
+
+def test_an_entry_off_by_a_small_mersenne_prime_is_refused(tmp_path, btab300):
+    # B_3 = 2 edited to 2 + (2^61 - 1), which a check modulo 2^61 - 1 would pass
+    p = tmp_path / "b.txt"
+    cache_save(btab300, str(p))
+    text = p.read_text()
+    edited = text.replace("\n3\t2\n", "\n3\t2305843009213693953\n")
+    assert edited != text and 2305843009213693953 == 2 + (1 << 61) - 1
+    p.write_text(edited)
+    with pytest.raises(CacheError) as info:
+        cache_load(str(p))
+    assert str(info.value) == (
+        f"{p}: index 3 does not match the size recurrence (checked modulo 2^127 - 1)"
+    )
 
 
 def test_a_one_entry_edit_in_a_stratified_file_is_refused(tmp_path, bmn60):

@@ -333,7 +333,8 @@ def test_residues_follow_the_exact_recurrence():
     for k, M in ((2, 90), (3, 60), (5, 40)):
         assert list(exact.h_residues(k, M)) == [h % p for h in _fresh_h_counts(k, M)]
     # an arity far beyond any factorial table: C(a, s) with a > p
-    k, H = 10**20, [0, 1]
+    k, H = 10**40, [0, 1]
+    assert k > p
     for m in range(2, 13):
         H.append(sum(binom(1 + (m - s) * (k - 1), s) * H[m - s] for s in range(1, m)))
     assert list(exact.h_residues(k, 12)) == [h % p for h in H]
