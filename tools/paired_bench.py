@@ -1,11 +1,12 @@
 """Compare this checkout with another one by alternating single benchmark passes.
 
-    python3 tools/paired_bench.py --against DIR --label NAME [--workload tables] [--pairs 10]
+    python3 tools/paired_bench.py --against DIR --label NAME
 
-A pair is one pass of ``perfbench/workloads.py`` from this checkout and one
-from DIR, with the same seed (1, 2 and 3 in turn, so the ratios span the
-inputs' small spread of sizes), each in a fresh interpreter that imports its
-own ``src/``; which side goes first alternates from pair to pair.  Each
+Each of the three workloads runs ten pairs.  A pair is one pass of
+``perfbench/workloads.py`` from this checkout and one from DIR, with the
+same seed (1, 2 and 3 in turn, so the ratios span the inputs' small spread
+of sizes), each in a fresh interpreter that imports its own ``src/``; which
+side goes first alternates from pair to pair.  Each
 side also times one ``--setup-only`` start per pair.  Slow spells of a
 shared host tend to last longer than one pass, so both passes of a pair see
 them, and the pair's ratio (this / DIR) cancels most of them.
@@ -13,11 +14,13 @@ them, and the pair's ratio (this / DIR) cancels most of them.
 For ``setup_s``, ``wall_s``, ``peak_rss_mb`` and the seconds of each step,
 the tool prints the median of the per-pair ratios and a distribution-free
 interval for it: the order statistics x_(j) and x_(n+1-j) of the n ratios,
-with the largest j whose binomial coverage is still at least 95% (with
-fewer than 6 pairs no such j exists, and the printed coverage says so).  A
-ratio below 1 means this checkout is lower.  The record goes to
-``BENCH_<label>.json`` at this checkout's root; each side is named by its
-HEAD commit and by a sha256 of its ``src/witrees`` sources, which also tells
+with the largest j whose binomial coverage is still at least 95% (j = 2 of
+10, 97.9%).  A ratio below 1 means this checkout is lower.  Beside it are
+the pairs in which this checkout is lower, each side's median and the
+interquartile range of DIR's values, the spread a claimed gain must exceed.
+The record goes to ``BENCH_<label>.json`` at this checkout's root, with
+every pair's ratio and both sides' values; each side is named by its HEAD
+commit and by a sha256 of its ``src/witrees`` sources, which also tells
 uncommitted edits apart.  Every output is checked by the worker; the tool
 exits 1 if any request failed, after writing the record.
 """
@@ -39,6 +42,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("tables", "asymptotics", "sampling")
 SEEDS = (1, 2, 3)
+PAIRS = 10
 LEVEL = 0.95
 
 
@@ -92,10 +96,10 @@ def one_side(checkout: str, workload: str, seed: int) -> tuple[dict, list]:
     return pass_metrics(record, setup_s), failures
 
 
-def compare(workload: str, against: str, pairs: int) -> dict:
-    """Run ``pairs`` alternating pairs of passes; the summary of their ratios."""
+def compare(workload: str, against: str) -> dict:
+    """Run PAIRS alternating pairs of passes; the summary of their ratios."""
     this_runs, other_runs, failures = [], [], []
-    for i in range(pairs):
+    for i in range(PAIRS):
         seed = SEEDS[i % len(SEEDS)]
         sides = ((ROOT, this_runs), (against, other_runs))
         for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
@@ -106,7 +110,7 @@ def compare(workload: str, against: str, pairs: int) -> dict:
     for name in this_runs[0]:
         ratios = [a[name] / b[name] for a, b in zip(this_runs, other_runs)
                   if name in a and b.get(name)]
-        if len(ratios) < pairs:
+        if len(ratios) < PAIRS:
             continue  # a step that took no time on the other side, or is missing there
         lo, hi, cover = median_interval(ratios)
         summary[name] = {
@@ -114,11 +118,22 @@ def compare(workload: str, against: str, pairs: int) -> dict:
             "lo": lo,
             "hi": hi,
             "coverage": cover,
-            "this_median": statistics.median(r[name] for r in this_runs),
-            "against_median": statistics.median(r[name] for r in other_runs),
             "ratios": ratios,
+            "this_runs": [r[name] for r in this_runs],
+            "against_runs": [r[name] for r in other_runs],
         }
-    return {"pairs": pairs, "metrics": summary, "failed": len(failures), "failures": failures[:20]}
+    return {"metrics": summary, "failed": len(failures), "failures": failures[:20]}
+
+
+def describe(name: str, m: dict) -> str:
+    """One printed line: the ratio and its interval, the pairs in which this
+    checkout is lower, both medians and the other side's interquartile range."""
+    q1, _, q3 = statistics.quantiles(m["against_runs"], n=4)
+    lower = sum(r < 1 for r in m["ratios"])
+    return (f"{name}: ratio {m['median_ratio']:.3f} [{m['lo']:.3f}, {m['hi']:.3f}] "
+            f"({m['coverage']:.1%}); lower in {lower}/{len(m['ratios'])} pairs; "
+            f"this {statistics.median(m['this_runs']):.4g}, "
+            f"against {statistics.median(m['against_runs']):.4g} (IQR {q3 - q1:.3g})")
 
 
 def provenance(checkout: str) -> dict:
@@ -141,18 +156,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", required=True, help="the other checkout's root")
     ap.add_argument("--label", required=True, help="names the record BENCH_<label>.json")
-    ap.add_argument("--workload", choices=WORKLOADS, action="append",
-                    help="repeatable; all three by default")
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     against = os.path.abspath(args.against)
     if not os.path.isfile(os.path.join(against, "perfbench", "workloads.py")):
         ap.error(f"{against} has no perfbench/workloads.py")
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
     record = {
         "label": args.label,
         "seeds": SEEDS,
+        "pairs": PAIRS,
         "level": LEVEL,
         "this": provenance(ROOT),
         "against": provenance(against),
@@ -162,13 +173,11 @@ def main(argv=None) -> int:
         "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
-        result = compare(workload, against, args.pairs)
+    for workload in WORKLOADS:
+        result = compare(workload, against)
         record["workloads"][workload] = result
         for name, m in result["metrics"].items():
-            print(f"{workload} {name}: ratio {m['median_ratio']:.3f} "
-                  f"[{m['lo']:.3f}, {m['hi']:.3f}] ({m['coverage']:.1%}); "
-                  f"this {m['this_median']:.4g}, against {m['against_median']:.4g}")
+            print(f"{workload} {describe(name, m)}")
         for failure in result["failures"]:
             print(f"{workload} FAILED {failure}")
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
