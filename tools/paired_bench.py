@@ -46,12 +46,12 @@ PAIRS = 10
 LEVEL = 0.95
 
 
-def median_interval(values: list, level: float = LEVEL) -> tuple[float, float, float]:
+def median_interval(values: list) -> tuple[float, float, float]:
     """(lo, hi, coverage) of the order-statistic interval for the median of ``values``.
 
     [x_(j), x_(n+1-j)] holds the median with probability
     1 - 2 P(Bin(n, 1/2) < j); j is the largest that keeps this at least
-    ``level``, and 1 when none does.
+    LEVEL, and 1 when none does.
     """
     xs = sorted(values)
     n = len(xs)
@@ -60,7 +60,7 @@ def median_interval(values: list, level: float = LEVEL) -> tuple[float, float, f
         return 1 - 2 * sum(math.comb(n, i) for i in range(j)) / 2**n
 
     j = 1
-    while j < (n + 1) // 2 and coverage(j + 1) >= level:
+    while j < (n + 1) // 2 and coverage(j + 1) >= LEVEL:
         j += 1
     return xs[j - 1], xs[n - j], coverage(j)
 
