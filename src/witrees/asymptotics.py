@@ -80,8 +80,8 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 # the largest admissible second index of delta_{n,s}: n - ceil((n-1)/k),
-# and the size recurrence's column stepper
-from .exact import _step_columns, kary_smax as delta_smax
+# and the size recurrence's columns (see exact._columns)
+from .exact import _columns, kary_smax as delta_smax
 
 #: Number of Bernoulli terms in the log-gamma Stirling series (see README).
 _LOG_GAMMA_TERMS = 26
@@ -370,8 +370,8 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
     (p)_l = p (p-1) ... (p-l+1) = l! C(p, l), which gives the same ratio
     and so the same floor.  They are stepped along n, not recomputed:
     (n-1)_l is a row stepped by one shifted multiply,
-    (m)_l = m (m-1)_(l-1), and (n-l)_l is the k = 2 recurrence column at
-    H-index n - 1, j = n - 1 - l (``exact._step_columns``).  Both sums read
+    (m)_l = m (m-1)_(l-1), and (n-l)_l is column j = n - 1 - l of
+    ``exact._columns`` at k = 2, m = n - 1 and x_j = 1.  Both sums read
     the one truncated weight list of ``_weights(2)`` and run on ``_Fixed``
     integers (b converts to them exactly); each a_n is rounded once to an
     mpf.
@@ -388,12 +388,9 @@ def correction_a(N: int, b: ScaledSequence) -> ScaledSequence:
         bf = [fx.of(x) for x in b.values[: N + 1]]
         a = [0] * (N + 1)
         row = [1, 1] + [0] * (L - 2)  # row[l] = (m)_l, here at m = 1
-        col, lo = [], 1  # col[j - lo] = (1+j)_(m-j) for the live j >= lo
-        for n in range(3, N + 1):
-            m = n - 1
+        for m, lo, col in _columns(2, [1] * (N + 1), 2, N - 1, L):
+            n = m + 1
             row[1:] = map(m.__mul__, row[:-1])
-            lo = _step_columns(col, lo, m, 2, L)
-            col.append(m)
             acc = 0
             for l in range(1, m - lo + 1):
                 g, c = col[m - l - lo], row[l]  # (n-l)_l, (n-1)_l
@@ -435,9 +432,8 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     same rational, and so the same integer, as in a term-by-term sum of
     binomials.  The denominators (n)_s (k-1)^s 2^bits form a row stepped
     by one shifted multiply per n, den[s] <- n (k-1) den[s-1], and the
-    numerators are summed by columns j = n - s, each holding
-    h_j (1+j(k-1))_(n-j) and stepped by one small multiply per n
-    (``exact._step_columns``).
+    numerators are summed by the columns j = n - s of ``exact._columns``
+    with x_j = h_j.
     """
     fx = _Fixed()
     c = k - 1
@@ -445,11 +441,8 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
     L = len(weights)
     den = [1 << fx.bits, c << fx.bits] + [0] * (L - 2)  # den[s] at n = 1
     h = [0, fx.of(seed)]
-    col, lo = [], 1  # col[j - lo] = h_j (1+j(k-1))_(n-j) for the live j >= lo
-    for n in range(2, N + 1):
+    for n, lo, col in _columns(k, h, 2, N, L):
         den[1:] = map((n * c).__mul__, den[:-1])
-        lo = _step_columns(col, lo, n, k, L)
-        col.append((1 + (n - 1) * c) * h[n - 1])
         h.append(sum(map(
             floordiv, map(mul, weights[n - lo : 0 : -1], col), den[n - lo : 0 : -1]
         )))

@@ -10,10 +10,9 @@ Three independent routes are implemented:
 
   ``count_binary_upto`` is the k = 2 view indexed by size, B_n = H_{n-1};
   the recurrence then reads B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) B_{n-l}.
-  The tables sum it by columns j = m - s, each holding H_j times the
-  falling factorial a_j (a_j - 1) ... (a_j - s + 1) = s! C(a_j, s), so a
-  term costs two multiplies by small ints (the column's next factor and
-  a Horner step in s) and no division; each index ends with one exact
+  The tables sum it by the columns j = m - s of ``_columns``, so a term
+  costs two multiplies by small ints (the column's next factor and a
+  Horner step in s) and no division; each index ends with one exact
   division by S!, S its top summation index.
 
 * ``count_kary_funceq``: the generating-function equation
@@ -250,47 +249,51 @@ def count_by_max_label(N: int) -> LabelStratifiedTable:
     return LabelStratifiedTable(N, values)
 
 
-def _step_columns(col: list, lo: int, m: int, k: int, stop: int | None = None) -> int:
-    """Step the recurrence's columns to H-index m; return their new lowest index.
+def _columns(k: int, x, start: int, stop: int, cap: int | None = None):
+    """Yield (m, lo, col): the size recurrence's live columns at H-index m = start..stop.
 
-    ``col`` holds the live columns j = lo..m-2 in order, column j being
-    x_j times the falling factorial a_j (a_j - 1) ... (a_j - s + 2) of
-    length s - 1 = m-1-j, with a_j = 1 + j(k-1).  At m the live columns
-    are those with s = m - j <= kary_smax(m, k) and, given ``stop``,
-    s < stop; the others are removed from the front.  Each one left gains
-    its next factor, a_j - s + 1 = jk + 2 - m, by one small multiply and
-    no division.  The caller appends column m - 1.
+    The one owner of the column layout, which the exact tables and the
+    scaled kernels share.  Column j holds x_j (a_j)_s, a_j = 1 + j(k-1),
+    s = m - j, (p)_s = p (p-1) ... (p-s+1) = s! C(p, s), and col[j - lo] is
+    column j for the live j = lo..m-1: those with s <= kary_smax(m, k) and,
+    given ``cap``, s < cap.  A step of m drops the columns that leave from
+    the front, multiplies each one left by its next factor
+    a_j - s + 1 = jk + 2 - m (one small multiply, no division) and appends
+    column m - 1, a_{m-1} x_{m-1}.  x_{m-1} is read only when step m is
+    due, so a caller may append to ``x`` as it goes; the columns of any
+    start >= 2 are built once with math.perm from x_0..x_{start-2}.  The
+    yielded list is stepped on after the reader resumes.
+    :func:`h_residues` keeps its own copy of this step on purpose: it is the
+    independent check of the tables.
     """
-    top = kary_smax(m, k) if stop is None else min(kary_smax(m, k), stop - 1)
-    new_lo = m - top
-    del col[: new_lo - lo]
-    col[:] = map(mul, col, range(new_lo * k + 2 - m, (m - 1) * k + 2 - m, k))
-    return new_lo
+    cap = math.inf if cap is None else cap
+    # the lowest live column after step start - 1, m - kary_smax(m, k) at
+    # m = start - 1 in closed form, so that a resumed build steps only its
+    # new indices; the first step trims at ``cap``
+    lo = (start + k - 3) // k
+    col = [x[j] * math.perm(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
+    for m in range(start, stop + 1):
+        old, lo = lo, m - min(kary_smax(m, k), cap - 1)
+        del col[: lo - old]
+        col[:] = map(mul, col, range(lo * k + 2 - m, (m - 1) * k + 2 - m, k))
+        col.append((1 + (m - 1) * (k - 1)) * x[m - 1])
+        yield m, lo, col
 
 
 def _column_sums(k: int, H, start: int, stop: int):
     """Yield the size recurrence's sum for H-index m = start..stop (start >= 2).
 
-    The sum is taken over columns j = m - s, as in :func:`h_residues` but
-    exactly: column j holds c_s = H_j a_j (a_j - 1) ... (a_j - s + 1), and
-    :func:`_step_columns` moves it to the next m by one small multiply, so
-    a large arity sums as fast as a small one.  The sum of the c_s / s! is
-    taken by Horner's rule in s, T <- T s + c_s, which leaves
+    The sum is taken over the columns c_s = H_j (a_j)_s of :func:`_columns`,
+    so a large arity sums as fast as a small one.  The sum of the c_s / s!
+    is taken by Horner's rule in s, T <- T s + c_s, which leaves
     T = sum_s c_s S!/s! = S! sum_s H_j C(a_j, s) for the top index S; one
-    exact division by S!, kept up to date as S grows, ends the index.  The
-    live columns are built once with math.perm from H[0..start-2]; H[m-1]
-    is read only when the sum at m is due, so a caller may append each sum
-    to ``H`` as it goes.
+    exact division by S!, kept up to date as S grows, ends the index.
+    H[m-1] is read only when the sum at m is due, so a caller may append
+    each sum to ``H`` as it goes.
     """
-    # the live columns after step start - 1: j >= ceil((start - 2) / k)
-    lo = (start + k - 3) // k
-    col = [H[j] * math.perm(1 + j * (k - 1), start - 1 - j) for j in range(lo, start - 1)]
-    top = start - 1 - lo
-    fact = math.factorial(top)
-    for m in range(start, stop + 1):
-        lo = _step_columns(col, lo, m, k)
-        col.append((1 + (m - 1) * (k - 1)) * H[m - 1])
-        if m - lo > top:  # the top index grows by at most one a step
+    top = fact = 1
+    for m, lo, col in _columns(k, H, start, stop):
+        while top < m - lo:
             top += 1
             fact *= top
         t = 0

@@ -356,6 +356,28 @@ def test_column_sums_equal_the_recurrence_with_library_binomials(k, H, data):
     assert list(exact._column_sums(k, H, start, stop)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 13, 10**6)), st.lists(st.integers(), min_size=2, max_size=60),
+       st.data())
+def test_columns_hold_the_falling_factorials_of_their_live_indices(k, x, data):
+    # any values, any start and any cap: at each m the live columns are the
+    # j with s = m - j <= kary_smax(m, k) and s < cap, and column j holds
+    # x_j (a_j)_s, a_j = 1 + j(k-1), built from math.perm
+    start = data.draw(st.integers(2, len(x)))
+    cap = data.draw(st.none() | st.integers(2, 40))
+    stop = len(x)  # step m reads x[m-1]
+    top = lambda m: exact.kary_smax(m, k) if cap is None else min(exact.kary_smax(m, k), cap - 1)
+    runs = {}
+    for s0 in (2, start):
+        runs[s0] = [(m, lo, list(col)) for m, lo, col in exact._columns(k, x, s0, stop, cap)]
+    assert [m for m, _, _ in runs[start]] == list(range(start, stop + 1))
+    for m, lo, col in runs[start]:
+        assert lo == m - top(m)
+        assert col == [x[j] * math.perm(1 + j * (k - 1), m - j) for j in range(lo, m)]
+    # a run started at s yields, from s on, what the run from 2 yields
+    assert runs[start] == runs[2][start - 2 :]
+
+
 # ---------------------------------------------------------------- brute force
 
 
