@@ -52,16 +52,32 @@ class CacheError(ValueError):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wit-cache-")
+    """Write ``text`` to ``path`` as UTF-8 by a temp file in its directory and a rename.
+
+    A failure removes the temp file; an OSError is raised again as one line
+    naming ``path``, not the temp file.
+    """
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wit-cache-")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
+
+
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
 @unlimited_int_digits()
@@ -90,8 +106,7 @@ def cache_load(
     ``expect_k`` guard against answering a request for one table with a
     cache of another.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, CacheError).splitlines()
     if not lines:
         raise CacheError(f"{path}: empty cache file")
     m = _HEADER_RE.match(lines[0])

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache import _atomic_write
+from .cache import _atomic_write, _read_text
 from .exact import unlimited_int_digits
 
 _ID_RE = re.compile(r"^A(\d{6,7})$")
@@ -74,8 +74,7 @@ def parse_bfile(text: str, seq_id: str = "A000000") -> OeisBFile:
 
 
 def load_bfile(path: str, seq_id: str = "A000000") -> OeisBFile:
-    with open(path, "r") as fh:
-        return parse_bfile(fh.read(), seq_id)
+    return parse_bfile(_read_text(path, OeisParseError), seq_id)
 
 
 def fetch_bfile(seq_id: str, dest_path: str, timeout: float = 30.0) -> str:

@@ -223,6 +223,18 @@ def test_an_arity_the_kind_cannot_have_is_refused(tmp_path, header):
         cache_load(str(p))
 
 
+def test_a_cache_file_that_is_not_text_is_refused_by_name(tmp_path, capsys):
+    from witrees import cli
+
+    p = tmp_path / "bin.txt"
+    p.write_bytes(b"\xff\xfe")
+    with pytest.raises(CacheError) as info:
+        cache_load(str(p))
+    assert str(info.value) == f"{p}: not UTF-8 text (bad byte at offset 0)"
+    assert cli.main(["cache", "verify", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: {info.value}\n")
+
+
 def test_save_is_atomic_overwrite(tmp_path, btab300):
     p = tmp_path / "b.txt"
     p.write_text("junk")
@@ -271,6 +283,18 @@ def test_parse_bfile_errors_name_lines():
         parse_bfile("1 1 1\n")
     with pytest.raises(OeisParseError, match="no entries"):
         parse_bfile("# nothing\n")
+
+
+def test_a_bfile_that_is_not_text_is_refused_by_name(tmp_path, capsys):
+    from witrees import cli
+
+    p = tmp_path / "bin.txt"
+    p.write_bytes(b"1 1\n2 \xff\xfe\n")
+    with pytest.raises(OeisParseError) as info:
+        load_bfile(str(p))
+    assert str(info.value) == f"{p}: not UTF-8 text (bad byte at offset 6)"
+    assert cli.main(["oeis-check", "--bfile", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: {info.value}\n")
 
 
 def test_bfile_url():

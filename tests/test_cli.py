@@ -240,6 +240,28 @@ def test_error_without_message_names_the_exception(monkeypatch, capsys):
     assert capsys.readouterr().err == "witrees: error: MemoryError\n"
 
 
+def test_an_out_path_in_a_missing_directory_is_refused_by_name(tmp_path, capsys):
+    from witrees import cli
+
+    out = tmp_path / "missing" / "s.csv"
+    assert cli.main(["scaled", "--upto", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"witrees: error: cannot write {out}: No such file or directory\n"
+    )
+    assert not list(tmp_path.rglob(".wit-cache-*"))
+
+
+def test_a_directory_given_as_out_is_refused_by_name(tmp_path, capsys):
+    from witrees import cli
+
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert cli.main(["table", "--upto", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: cannot write {out}: Is a directory\n")
+    assert not list(tmp_path.rglob(".wit-cache-*"))
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("route", ["recurrence", "funceq", "brute"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("flag, value", [("--n", "-5"), ("--upto", "-1")])
