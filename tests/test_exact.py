@@ -366,16 +366,17 @@ def test_columns_hold_the_falling_factorials_of_their_live_indices(k, x, data):
     start = data.draw(st.integers(2, len(x)))
     cap = data.draw(st.none() | st.integers(2, 40))
     stop = len(x)  # step m reads x[m-1]
-    top = lambda m: exact.kary_smax(m, k) if cap is None else min(exact.kary_smax(m, k), cap - 1)
-    runs = {}
-    for s0 in (2, start):
-        runs[s0] = [(m, lo, list(col)) for m, lo, col in exact._columns(k, x, s0, stop, cap)]
-    assert [m for m, _, _ in runs[start]] == list(range(start, stop + 1))
-    for m, lo, col in runs[start]:
-        assert lo == m - top(m)
+    def run(s0):  # the yielded list is stepped on, so copy it
+        return [(m, lo, list(col)) for m, lo, col in exact._columns(k, x, s0, stop, cap)]
+
+    resumed = run(start)
+    assert [m for m, _, _ in resumed] == list(range(start, stop + 1))
+    for m, lo, col in resumed:
+        top = exact.kary_smax(m, k) if cap is None else min(exact.kary_smax(m, k), cap - 1)
+        assert lo == m - top
         assert col == [x[j] * math.perm(1 + j * (k - 1), m - j) for j in range(lo, m)]
     # a run started at s yields, from s on, what the run from 2 yields
-    assert runs[start] == runs[2][start - 2 :]
+    assert resumed == run(2)[start - 2 :]
 
 
 # ---------------------------------------------------------------- brute force
