@@ -26,8 +26,10 @@ to L once, and the b/h kernel, ``correction_a`` and ``an_identity_residual``
 all read that list.  The b/h kernel, ``correction_a`` and the integral
 route's w' and Li2 sum on fixed-point Python ints with 64 bits beyond the
 working precision (``_Fixed``) and round each value once to an mpf.  The
-kernels compute no binomial per term: they step a row C(n, s) by Pascal's
-rule and the size recurrence's binomials by columns, as ``exact`` does.
+kernels compute no binomial per term: they read each binomial ratio as a
+ratio of falling factorials (p)_s = p (p-1) ... (p-s+1), step a row of
+them by one shifted multiply per index, (n)_s = n (n-1)_(s-1), and take
+the size recurrence's falling factorials by the columns of ``exact``.
 
 Three estimators are provided for the constants:
 

@@ -72,12 +72,17 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _read_text(path: str, error: type[ValueError]) -> str:
-    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error`` naming it."""
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error`` naming it.
+
+    An OSError is raised again, of its own class, as one line naming ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    except OSError as exc:
+        raise type(exc)(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 @unlimited_int_digits()

@@ -9,6 +9,7 @@ success and nonzero with a one-line message on failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
 import os
 import sys
@@ -31,9 +32,17 @@ def _build_table(k: int, kind: str, upto: int):
         return exact.count_binary_upto(upto)
     if kind == "H":
         return exact.count_kary_upto(k, upto)
-    if kind == "Bmn":
-        return exact.count_by_max_label(upto)
-    raise ValueError(f"unknown table kind {kind!r}")
+    return exact.count_by_max_label(upto)
+
+
+def _made_cache_dir(args) -> str:
+    """``args.cache_dir``, created if missing; an OSError is raised again,
+    of its own class, as one line naming the directory."""
+    try:
+        os.makedirs(args.cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise type(exc)(f"cannot create {args.cache_dir}: {exc.strerror or exc}") from None
+    return args.cache_dir
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -108,14 +117,12 @@ def _check_size(flag: str, value: int, bits) -> None:
 
     if fits(value):
         return
-    lo, hi = 0, 1  # footprints grow with the size: the largest fit is in [lo, hi)
+    hi = 1  # footprints grow with the size and fits(0) holds: the largest fit is below hi
     while fits(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        hi *= 2
+    most = bisect.bisect_left(range(hi), True, key=lambda v: not fits(v)) - 1
     raise ValueError(
-        f"{flag} {value} is too large: at most {lo} fits the "
+        f"{flag} {value} is too large: at most {most} fits the "
         f"{MAX_BUILD_BITS >> 33} GiB build limit"
     )
 
@@ -181,8 +188,7 @@ def cmd_table(args) -> int:
     table = _build_table(args.k, kind, args.upto)
     out = args.out
     if out is None:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        out = os.path.join(args.cache_dir, f"wit-{kind}-k{args.k}-{args.upto}.txt")
+        out = os.path.join(_made_cache_dir(args), f"wit-{kind}-k{args.k}-{args.upto}.txt")
     cache.cache_save(table, out)
     print(out)
     return 0
@@ -313,8 +319,7 @@ def cmd_oeis_check(args) -> int:
     elif args.bfile:
         bfile = oeis.load_bfile(args.bfile, args.id)
     elif args.fetch:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        dest = os.path.join(args.cache_dir, f"b{args.id[1:]}.txt")
+        dest = os.path.join(_made_cache_dir(args), f"b{args.id[1:]}.txt")
         oeis.fetch_bfile(args.id, dest)
         print(f"fetched {oeis.bfile_url(args.id)} -> {dest}", file=sys.stderr)
         bfile = oeis.load_bfile(dest, args.id)
@@ -354,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="random seed (sampling; default 0)")
+    arity = argparse.ArgumentParser(add_help=False)
+    arity.add_argument("--k", type=int, default=2)
 
     ap = argparse.ArgumentParser(
         prog="witrees",
@@ -363,39 +370,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="exact number of trees of a given size")
-    p.add_argument("--k", type=int, default=2)
+    p = sub.add_parser("count", parents=[common, arity], help="exact number of trees of a given size")
     p.add_argument("--n", type=int)
     p.add_argument("--upto", type=int)
     p.add_argument("--route", choices=("recurrence", "funceq", "brute"), default="recurrence")
     p.add_argument("--format", choices=("plain", "csv"), default="plain")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", parents=[common], help="compute a count table and save it as a cache file")
-    p.add_argument("--k", type=int, default=2)
+    p = sub.add_parser("table", parents=[common, arity], help="compute a count table and save it as a cache file")
     p.add_argument("--kind", choices=("B", "H", "Bmn"))
     p.add_argument("--upto", type=int, required=True,
                    help="size bound (kind B/Bmn) or H-index bound (kind H)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("sample", parents=[common], help="draw exactly uniform random trees")
-    p.add_argument("--k", type=int, default=2)
+    p = sub.add_parser("sample", parents=[common, arity], help="draw exactly uniform random trees")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--format", choices=("text", "graph", "encoding"), default="text")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("scaled", parents=[common], help="export a scaled sequence as CSV")
+    p = sub.add_parser("scaled", parents=[common, arity], help="export a scaled sequence as CSV")
     p.add_argument("--kind", choices=("b", "h", "a"), default="b")
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--upto", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scaled)
 
-    p = sub.add_parser("estimate", parents=[common], help="estimate an asymptotic constant")
+    p = sub.add_parser("estimate", parents=[common, arity], help="estimate an asymptotic constant")
     p.add_argument("target", choices=("alpha", "eta", "exponent"))
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--N", type=int)
     p.add_argument("--method", choices=("ratio", "extrapolation", "integral", "slope-fit"))
     p.set_defaults(func=cmd_estimate)

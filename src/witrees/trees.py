@@ -232,17 +232,13 @@ def _tally(root: Node) -> tuple[int, int, int, int]:
 
 
 def bullet_positions(root: Node) -> list[Path]:
-    """Paths of all bullet-leaves, in preorder (the canonical leaf order)."""
-    out: list[Path] = []
-    stack: list[tuple[Path, Slot]] = [((), root)]
-    while stack:
-        path, slot = stack.pop()
-        if slot is BULLET:
-            out.append(path)
-        elif isinstance(slot, Node):
-            for i in range(len(slot.slots) - 1, -1, -1):
-                stack.append((path + (i,), slot.slots[i]))
-    return out
+    """Paths of all bullet-leaves, in preorder (the canonical leaf order).
+
+    No bullet's path is a prefix of another's, so preorder is the
+    lexicographic order of the paths.
+    """
+    return sorted(path + (i,) for path, node in iter_nodes(root)
+                  for i, slot in enumerate(node.slots) if slot is BULLET)
 
 
 def _with_slot(root: Node, path: Path, content: Slot) -> Node:
@@ -538,10 +534,20 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def _malformed_node(node: Node, arity: int) -> NoReturn:
+    """Raise ``validate``'s one-line ValueError, without the path, for a node
+    with a wrong slot count or a label below 1."""
+    if len(node.slots) != arity:
+        raise ValueError(f"node has {len(node.slots)} slots, expected {arity}")
+    raise ValueError(f"node has invalid label {node.label!r}")
+
+
 def canonical_encoding(t: CompletedTree) -> bytes:
     """Serialize a completed tree to its canonical byte string.
 
-    A slot that is neither a bullet nor a node raises ValueError.
+    A node without ``t.arity`` slots or with a label below 1, and a slot
+    that is neither a bullet nor a node, raise ValueError: such a node
+    would be written as another tree's bytes or as bytes the decoder refuses.
     """
     k = t.arity
     mask_len = (k + 7) // 8
@@ -552,6 +558,8 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     while stack:
         node = pop()
         label, slots = node.label, node.slots
+        if len(slots) != k or label < 1:
+            _malformed_node(node, k)
         if label < 0x80:  # a one-byte varint
             out.append(label)
         else:

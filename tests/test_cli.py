@@ -262,6 +262,28 @@ def test_a_directory_given_as_out_is_refused_by_name(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["cache", "verify", "{dir}"], "Is a directory"),
+    (["cache", "verify", "{dir}/missing"], "No such file or directory"),
+    (["oeis-check", "--bfile", "{dir}/missing"], "No such file or directory"),
+])
+def test_an_unreadable_input_is_refused_by_name(tmp_path, capsys, argv, reason):
+    from witrees import cli
+
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: cannot read {argv[-1]}: {reason}\n")
+
+
+def test_a_file_given_as_cache_dir_is_refused_by_name(tmp_path, capsys):
+    from witrees import cli
+
+    cache_dir = tmp_path / "file"
+    cache_dir.write_text("")
+    assert cli.main(["table", "--upto", "5", "--cache-dir", str(cache_dir)]) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: cannot create {cache_dir}: File exists\n")
+
+
 @pytest.mark.parametrize("route", ["recurrence", "funceq", "brute"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("flag, value", [("--n", "-5"), ("--upto", "-1")])

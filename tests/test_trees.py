@@ -121,6 +121,23 @@ def test_readers_that_skip_validate_refuse_a_foreign_slot(foreign):
         render_indented(LabeledTree(bin_node(1, None, Node(2, ("x", None)))))
 
 
+@pytest.mark.parametrize("root, message", [
+    (Node(1, (BULLET,)), "node has 1 slots, expected 2"),
+    (Node(1, (BULLET, Node(2, (BULLET, BULLET, Node(3, (BULLET, BULLET)))))),
+     "node has 3 slots, expected 2"),
+    (Node(1, (Node(2, (BULLET, BULLET, BULLET)), BULLET)), "node has 3 slots, expected 2"),
+    (Node(0, (BULLET, BULLET)), "node has invalid label 0"),
+    (Node(-1, (BULLET, Node(2, (BULLET, BULLET)))), "node has invalid label -1"),
+])
+def test_encoding_refuses_a_node_that_validate_calls_malformed(root, message):
+    # such a node would be written as another tree's bytes or as bytes
+    # that decode_encoding refuses
+    t = CompletedTree(2, root)
+    assert validate(t, 2).kind == "malformed"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        canonical_encoding(t)
+
+
 def test_completed_tree_readers_refuse_an_empty_slot():
     t = CompletedTree(2, Node(1, (None, BULLET)))
     for read in (lambda: t.size, lambda: canonical_encoding(t)):
@@ -286,6 +303,62 @@ def test_complete_preserves_skeleton():
 def test_complete_rejects_invalid():
     with pytest.raises(ValueError, match="invalid tree"):
         complete(LabeledTree(bin_node(1, bin_node(3))), 2)
+
+
+# ---------------------------------------------------------------- bullet positions
+
+
+def reference_bullet_positions(root):
+    """Bullet paths by an explicit preorder walk over every slot."""
+    out = []
+    stack = [((), root)]
+    while stack:
+        path, slot = stack.pop()
+        if slot is BULLET:
+            out.append(path)
+        elif isinstance(slot, Node):
+            for i in range(len(slot.slots) - 1, -1, -1):
+                stack.append((path + (i,), slot.slots[i]))
+    return out
+
+
+@st.composite
+def slot_trees(draw):
+    """A root of arity 2, 3 or 9 whose slots hold children, bullets, None or
+    foreign values; a slot may hold the node object of the slot before it."""
+    k = draw(st.sampled_from([2, 3, 9]))
+    budget = [draw(st.integers(0, 20))]
+
+    def node(label):
+        slots = []
+        for _ in range(k):
+            how = draw(st.sampled_from(["child", "bullet", "none", "foreign", "share"]))
+            if how == "share" and slots and isinstance(slots[-1], Node):
+                slots.append(slots[-1])
+            elif how == "child" and budget[0] > 0:
+                budget[0] -= 1
+                slots.append(node(label + 1))
+            else:
+                slots.append({"none": None, "foreign": "x"}.get(how, BULLET))
+        return Node(label, tuple(slots))
+
+    return node(1)
+
+
+@given(slot_trees())
+@settings(max_examples=200, deadline=None)
+def test_bullet_positions_match_the_slot_walk(root):
+    assert bullet_positions(root) == reference_bullet_positions(root)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_bullet_positions_of_a_deep_chain_match_the_slot_walk(slot):
+    node = Node(3001, (BULLET, BULLET))
+    for label in range(3000, 0, -1):
+        node = Node(label, (node, BULLET) if slot == 0 else (BULLET, node))
+    leaves = bullet_positions(node)
+    assert leaves == reference_bullet_positions(node)
+    assert len(leaves) == 3002 and leaves[-slot] == (slot,) * 3001
 
 
 # ---------------------------------------------------------------- evolution
