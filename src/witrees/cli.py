@@ -35,14 +35,14 @@ def _build_table(k: int, kind: str, upto: int):
     return exact.count_by_max_label(upto)
 
 
-def _made_cache_dir(args) -> str:
-    """``args.cache_dir``, created if missing; an OSError is raised again,
-    of its own class, as one line naming the directory."""
+def _made_dir(path: str) -> str:
+    """``path``, created as a directory if missing; an OSError is raised
+    again, of its own class, as one line naming ``path``."""
     try:
-        os.makedirs(args.cache_dir, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise type(exc)(f"cannot create {args.cache_dir}: {exc.strerror or exc}") from None
-    return args.cache_dir
+        raise type(exc)(f"cannot create {path}: {exc.strerror or exc}") from None
+    return path
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -188,7 +188,7 @@ def cmd_table(args) -> int:
     table = _build_table(args.k, kind, args.upto)
     out = args.out
     if out is None:
-        out = os.path.join(_made_cache_dir(args), f"wit-{kind}-k{args.k}-{args.upto}.txt")
+        out = os.path.join(_made_dir(args.cache_dir), f"wit-{kind}-k{args.k}-{args.upto}.txt")
     cache.cache_save(table, out)
     print(out)
     return 0
@@ -319,7 +319,7 @@ def cmd_oeis_check(args) -> int:
     elif args.bfile:
         bfile = oeis.load_bfile(args.bfile, args.id)
     elif args.fetch:
-        dest = os.path.join(_made_cache_dir(args), f"b{args.id[1:]}.txt")
+        dest = os.path.join(_made_dir(args.cache_dir), f"b{args.id[1:]}.txt")
         oeis.fetch_bfile(args.id, dest)
         print(f"fetched {oeis.bfile_url(args.id)} -> {dest}", file=sys.stderr)
         bfile = oeis.load_bfile(dest, args.id)
