@@ -10,13 +10,11 @@ from .asymptotics import (
     Precision,
     ScaledSequence,
     correction_a,
-    delta_coeff,
     estimate_alpha,
     estimate_eta_extrapolation,
     estimate_eta_integral,
     estimate_kary_exponent,
     estimate_kary_prefactor,
-    gamma_coeff,
     kary_exponent_target,
     scaled_b_recurrence,
     scaled_from_exact,
@@ -27,7 +25,6 @@ from .exact import (
     CountTable,
     GuardExceeded,
     LabelStratifiedTable,
-    binom,
     brute_force_count,
     count_binary_funceq,
     count_binary_upto,

@@ -15,10 +15,10 @@ evaluates the scaled recurrence
     delta_{m,s} = C(1+(m-s)(k-1), s) / C(m, s) = gamma(m+1, s) at k = 2,
 
 whose summands are nonnegative, to essentially full working precision;
-``scaled_from_exact`` is the independent log-domain route from an exact
-count table.  The coefficient families share one exact ratio:
-gamma(n, l) = delta_{n-1,l} at k = 2.  a_n and the integral route stay
-binary.
+``scaled_from_exact`` is the independent route from an exact count table:
+each value is one exact rational times (ln 2)^n, rounded once.  The
+coefficient families share one exact ratio: gamma(n, l) = delta_{n-1,l}
+at k = 2.  a_n and the integral route stay binary.
 
 The weights (ln 2 / (k-1))^s / s! decay superexponentially, so every sum
 over s stops at one index L, fixed per call: ``_weights(k)`` lists them up
@@ -79,14 +79,11 @@ from fractions import Fraction
 from operator import floordiv, mul
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_rational, mpf_ln2, mpf_mul, mpf_pow_int, round_nearest, to_fixed
 
 # the largest admissible second index of delta_{n,s}: n - ceil((n-1)/k),
 # and the size recurrence's columns (see exact._columns)
 from .exact import _columns, kary_smax as delta_smax
-
-#: Number of Bernoulli terms in the log-gamma Stirling series (see README).
-_LOG_GAMMA_TERMS = 26
 
 #: Smallest table or sequence index N each estimator accepts.
 ALPHA_MIN_N = 100
@@ -181,81 +178,18 @@ def gamma_exact(n: int, l: int) -> Fraction:
     """gamma(n, l) = C(n-l, l) / C(n-1, l) as an exact rational."""
     if n < 2 or not 1 <= l <= n // 2:
         raise ValueError(f"gamma requires n >= 2 and 1 <= l <= n//2, got ({n}, {l})")
-    return _delta_ratio(2, n - 1, l)  # gamma(n, l) = delta_{n-1,l} at k = 2
-
-
-def gamma_coeff(n: int, l: int, precision: Precision = Precision()) -> mp.mpf:
-    """Ratio of falling factorials weighting the scaled binary recurrence.
-
-    Equals ((n-l)(n-l-1)...(n-2l+1)) / ((n-1)(n-2)...(n-l)); evaluated from
-    an exact integer ratio, so no factorial overflow and no cancellation.
-    """
-    return _ratio_mpf(gamma_exact(n, l), precision)
+    return delta_exact(2, n - 1, l)  # gamma(n, l) = delta_{n-1,l} at k = 2
 
 
 def delta_exact(k: int, n: int, s: int) -> Fraction:
     """delta_{n,s} = C(1+(n-s)(k-1), s) / C(n, s) as an exact rational."""
-    if k < 3:
-        raise ValueError("delta is defined for arity >= 3")
+    if k < 2:
+        raise ValueError("arity must be >= 2")
     if n < 1 or not 1 <= s <= delta_smax(n, k):
         raise ValueError(
             f"delta requires 1 <= s <= {delta_smax(n, k)} for n={n}, got s={s}"
         )
-    return _delta_ratio(k, n, s)
-
-
-def delta_coeff(k: int, n: int, s: int, precision: Precision = Precision()) -> mp.mpf:
-    """Falling-factorial ratio weighting the scaled k-ary recurrence.
-
-    Equals (1+(n-s)(k-1))! (n-s)! / ((1+(n-s)(k-1)-s)! n!), evaluated as a
-    ratio of two binomials so that no full factorial is ever formed.
-    """
-    return _ratio_mpf(delta_exact(k, n, s), precision)
-
-
-def _delta_ratio(k: int, n: int, s: int) -> Fraction:
-    """C(1+(n-s)(k-1), s) / C(n, s), unchecked: the callers check the domain."""
     return Fraction(math.comb(1 + (n - s) * (k - 1), s), math.comb(n, s))
-
-
-def _ratio_mpf(q: Fraction, precision: Precision) -> mp.mpf:
-    """An exact ratio rounded once to the working precision."""
-    with mp.workdps(precision.dps):
-        return mp.mpf(q.numerator) / q.denominator
-
-
-# --------------------------------------------------------------------------
-# log-gamma (fixed, reproducible algorithm; see README)
-# --------------------------------------------------------------------------
-
-
-def log_gamma(x, precision: Precision = Precision()) -> mp.mpf:
-    """ln Gamma(x) for x > 0 by a Stirling series with fixed term count.
-
-    Uses the asymptotic series with ``_LOG_GAMMA_TERMS`` Bernoulli terms
-    after shifting the argument up to max(40, working digits) through the
-    recurrence ln Gamma(x) = ln Gamma(x+1) - ln x.  The fixed algorithm
-    keeps dual-route comparisons reproducible across environments.
-    """
-    with mp.workdps(precision.dps):
-        return _log_gamma(mp.mpf(x))
-
-
-def _log_gamma(x: mp.mpf) -> mp.mpf:
-    if x <= 0:
-        raise ValueError("log_gamma requires a positive argument")
-    threshold = max(40, mp.mp.dps)
-    shift = 0 if x >= threshold else int(mp.ceil(threshold - x))
-    y = x + shift
-    s = (y - mp.mpf(1) / 2) * mp.log(y) - y + mp.log(2 * mp.pi) / 2
-    y2 = y * y
-    ypow = y
-    for j in range(1, _LOG_GAMMA_TERMS + 1):
-        s += mp.bernoulli(2 * j) / ((2 * j) * (2 * j - 1) * ypow)
-        ypow *= y2
-    for i in range(shift):
-        s -= mp.log(x + i)
-    return s
 
 
 # --------------------------------------------------------------------------
@@ -331,24 +265,25 @@ def scaled_b_recurrence(N: int, precision: Precision = Precision()) -> ScaledSeq
 
 
 def scaled_from_exact(table, precision: Precision = Precision()) -> ScaledSequence:
-    """Scale an exact count table in the log domain.
+    """Scale an exact count table by one exact division per value.
 
     For a k-ary H-table this yields h_m = H_m (ln 2)^m / ((k-1)^m m!); for
-    the binary view (index n = m + 1), b_n = B_n (ln 2)^n / (n-1)!.  Values
-    are computed as exp(ln V + n ln ln 2 - ...) so that no factorial-sized
-    number is formed.
+    the binary view (index n = m + 1), b_n = B_n (ln 2)^n / (n-1)!.  The
+    denominator d = m! (k-1)^m is a running integer, advanced by one small
+    multiply per index, and V / d is an exact rational.  (ln 2)^n carries
+    guard bits for the n-fold growth of the error in ln 2, and each value is
+    rounded once, to nearest, to the working precision.
     """
     with mp.workdps(precision.dps):
-        lnln2 = mp.log(mp.ln(2))
-        lnk1 = mp.log(table.k - 1)
-        values = [mp.mpf(0)] * (table.max_index + 1)
-        for n in range(1, table.max_index + 1):
-            v = table.entry(n)
-            if v:
-                m = n - table.offset
-                values[n] = mp.exp(
-                    mp.log(mp.mpf(v)) + n * lnln2 - m * lnk1 - _log_gamma(mp.mpf(m + 1))
-                )
+        prec = mp.mp.prec
+        wp = prec + table.max_index.bit_length() + 10
+        ln2 = mpf_ln2(wp)
+        values = [mp.mpf(0)] * table.offset
+        d = 1
+        for m, v in enumerate(table.values[table.offset:]):
+            scale = mpf_pow_int(ln2, m + table.offset, wp)
+            values.append(mp.mpf(mpf_mul(from_rational(v, d, wp), scale, prec, round_nearest)))
+            d *= (m + 1) * (table.k - 1)
         return ScaledSequence("b" if table.offset else "h", table.k, tuple(values), precision)
 
 

@@ -72,13 +72,6 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def binom(p: int, q: int) -> int:
-    """Binomial coefficient C(p, q); zero when q < 0 or q > p."""
-    if q < 0 or q > p:
-        return 0
-    return math.comb(p, q)
-
-
 def kary_smax(m: int, k: int) -> int:
     """Upper summation index of the k-ary recurrence: m - ceil((m-1)/k)."""
     return m - (m + k - 2) // k
@@ -142,10 +135,6 @@ class LabelStratifiedTable:
         if not (2 <= n <= self.size_bound and m >= 1):
             raise ValueError(f"(m={m}, n={n}) outside table range")
         return self.values.get((m, n), 0)
-
-    def row_sum(self, n: int) -> int:
-        """Sum over m; equals the plain count B_n."""
-        return sum(self.entry(m, n) for m in range(1, n))
 
 
 def count_binary_upto(N: int) -> CountTable:

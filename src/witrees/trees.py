@@ -536,7 +536,7 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 def _malformed_node(node: Node, arity: int) -> NoReturn:
     """Raise ``validate``'s one-line ValueError, without the path, for a node
-    with a wrong slot count or a label below 1."""
+    with a wrong slot count or a label that is not an int of at least 1."""
     if len(node.slots) != arity:
         raise ValueError(f"node has {len(node.slots)} slots, expected {arity}")
     raise ValueError(f"node has invalid label {node.label!r}")
@@ -545,9 +545,10 @@ def _malformed_node(node: Node, arity: int) -> NoReturn:
 def canonical_encoding(t: CompletedTree) -> bytes:
     """Serialize a completed tree to its canonical byte string.
 
-    A node without ``t.arity`` slots or with a label below 1, and a slot
-    that is neither a bullet nor a node, raise ValueError: such a node
-    would be written as another tree's bytes or as bytes the decoder refuses.
+    A node without ``t.arity`` slots or with a label that is not an int of
+    at least 1, and a slot that is neither a bullet nor a node, raise
+    ValueError: such a node would be written as another tree's bytes or as
+    bytes the decoder refuses, or would fail with a bare TypeError.
     """
     k = t.arity
     mask_len = (k + 7) // 8
@@ -555,28 +556,31 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     _write_varint(out, k)
     stack = [t.root]
     pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        label, slots = node.label, node.slots
-        if len(slots) != k or label < 1:
-            _malformed_node(node, k)
-        if label < 0x80:  # a one-byte varint
-            out.append(label)
-        else:
-            _write_varint(out, label)
-        mask = 0
-        i = len(slots)
-        for slot in reversed(slots):
-            i -= 1
-            if isinstance(slot, Node):
-                mask |= 1 << i
-                push(slot)
-            elif slot is not BULLET:
-                _foreign_slot(slot, "a node or a bullet")
-        if mask_len == 1:
-            out.append(mask)
-        else:
-            out += mask.to_bytes(mask_len, "little")
+    try:
+        while stack:
+            node = pop()
+            label, slots = node.label, node.slots
+            if len(slots) != k or label < 1:
+                _malformed_node(node, k)
+            if label < 0x80:  # a one-byte varint
+                out.append(label)
+            else:
+                _write_varint(out, label)
+            mask = 0
+            i = len(slots)
+            for slot in reversed(slots):
+                i -= 1
+                if isinstance(slot, Node):
+                    mask |= 1 << i
+                    push(slot)
+                elif slot is not BULLET:
+                    _foreign_slot(slot, "a node or a bullet")
+            if mask_len == 1:
+                out.append(mask)
+            else:
+                out += mask.to_bytes(mask_len, "little")
+    except TypeError:  # a label that is not an int
+        _malformed_node(node, k)
     return bytes(out)
 
 

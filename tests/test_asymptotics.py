@@ -12,17 +12,14 @@ from witrees import exact
 from witrees.asymptotics import (
     Precision,
     correction_a,
-    delta_coeff,
     delta_exact,
     delta_smax,
     estimate_alpha,
     estimate_eta_extrapolation,
     estimate_eta_integral,
     estimate_kary_exponent,
-    gamma_coeff,
     gamma_exact,
     kary_exponent_target,
-    log_gamma,
     scaled_b_recurrence,
     scaled_from_exact,
     scaled_h_recurrence,
@@ -30,11 +27,6 @@ from witrees.asymptotics import (
 from witrees.exact import count_kary_upto
 
 LN2 = mp.mpf(mp.ln(2))
-
-
-def close(x, y, rel):
-    x, y = mp.mpf(x), mp.mpf(y)
-    return abs(x - y) <= rel * max(abs(x), abs(y), mp.mpf(1) * 0 + 1e-300)
 
 
 # ---------------------------------------------------------------- precision
@@ -59,7 +51,6 @@ def test_gamma_unit_for_l1():
 def test_gamma_known_rationals():
     assert gamma_exact(10, 2) == Fraction(7, 9)
     assert gamma_exact(4, 2) == Fraction(1, 3)
-    assert close(gamma_coeff(10, 2), mp.mpf(7) / 9, mp.mpf("1e-25"))
 
 
 def test_gamma_range_errors():
@@ -122,7 +113,6 @@ def test_gamma_bounds_property(n):
 def test_delta_known_values():
     assert delta_exact(3, 2, 1) == Fraction(3, 2)
     assert delta_exact(3, 4, 1) == Fraction(7, 4)
-    assert close(delta_coeff(3, 4, 1), mp.mpf(7) / 4, mp.mpf("1e-25"))
 
 
 def test_delta_s1_closed_form_exact():
@@ -141,8 +131,11 @@ def test_delta_upper_bound():
 
 
 def test_delta_range_errors():
-    with pytest.raises(ValueError):
-        delta_exact(2, 5, 1)  # arity too small
+    with pytest.raises(ValueError, match="^arity must be >= 2$"):
+        delta_exact(1, 5, 1)
+    for n in range(2, 201):  # k = 2 is gamma, on the same domain
+        for l in range(1, n // 2 + 1):
+            assert delta_exact(2, n - 1, l) == gamma_exact(n, l)
     with pytest.raises(ValueError):
         delta_exact(3, 4, 4)  # s beyond the admissible bound (smax=3)...
     with pytest.raises(ValueError):
@@ -224,6 +217,25 @@ def test_b_is_ln2_times_shifted_binary_h(digits):
     with mp.workdps(p.dps):
         for n in range(2, N + 1):
             assert abs(b[n] - mp.ln(2) * h[n - 1]) <= tol * b[n], n
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("k, M", [(2, 300), (3, 300), (13, 150)])
+def test_scaled_from_exact_is_the_exact_rational_rounded_once(digits, k, M):
+    # V (ln 2)^n / (m! (k-1)^m), m = n - offset, evaluated 40 digits finer:
+    # the route rounds once, so it sits within a unit or two in the last place
+    table = exact.count_binary_upto(M) if k == 2 else count_kary_upto(k, M)
+    p = Precision(digits)
+    x = scaled_from_exact(table, p)
+    with mp.workdps(p.dps):
+        rel = mp.mpf(2) ** (1 - mp.mp.prec)
+    assert x[0] == 0
+    with mp.workdps(p.dps + 40):
+        ln2 = mp.ln(2)
+        for n in range(1, table.max_index + 1):
+            m = n - table.offset
+            ref = table.entry(n) * ln2**n / (math.factorial(m) * (k - 1) ** m)
+            assert abs(x[n] - ref) <= rel * ref, n
 
 
 def _scaled_h_per_index(k, N, seed):
@@ -341,14 +353,6 @@ def test_precision_robustness_1000():
     b30 = scaled_b_recurrence(1000, Precision(30))
     for n in (2, 10, 100, 500, 1000):
         assert abs(b15[n] - b30[n]) <= mp.mpf(10) ** -10 * b30[n]
-
-
-def test_log_gamma_matches_mpmath(prec30):
-    with mp.workdps(prec30.dps):
-        for x in (1, 2, 7, 39, 40, 1001, mp.mpf("2.5"), mp.mpf("123.25")):
-            mine = log_gamma(x, prec30)
-            ref = mp.loggamma(x)
-            assert abs(mine - ref) <= mp.mpf(10) ** -(prec30.dps - 5) * max(1, abs(ref))
 
 
 # ---------------------------------------------------------------- correction

@@ -128,6 +128,10 @@ def test_readers_that_skip_validate_refuse_a_foreign_slot(foreign):
     (Node(1, (Node(2, (BULLET, BULLET, BULLET)), BULLET)), "node has 3 slots, expected 2"),
     (Node(0, (BULLET, BULLET)), "node has invalid label 0"),
     (Node(-1, (BULLET, Node(2, (BULLET, BULLET)))), "node has invalid label -1"),
+    (Node(2.5, (BULLET, BULLET)), "node has invalid label 2.5"),
+    (Node(1, (Node(200.0, (BULLET, BULLET)), BULLET)), "node has invalid label 200.0"),
+    (Node("x", (BULLET, BULLET)), "node has invalid label 'x'"),
+    (Node(None, (BULLET, BULLET)), "node has invalid label None"),
 ])
 def test_encoding_refuses_a_node_that_validate_calls_malformed(root, message):
     # such a node would be written as another tree's bytes or as bytes
