@@ -14,7 +14,6 @@ from .asymptotics import (
     estimate_eta_extrapolation,
     estimate_eta_integral,
     estimate_kary_exponent,
-    estimate_kary_prefactor,
     kary_exponent_target,
     scaled_b_recurrence,
     scaled_from_exact,

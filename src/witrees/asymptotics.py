@@ -31,12 +31,17 @@ ratio of falling factorials (p)_s = p (p-1) ... (p-s+1), step a row of
 them by one shifted multiply per index, (n)_s = n (n-1)_(s-1), and take
 the size recurrence's falling factorials by the columns of ``exact``.
 
-Three estimators are provided for the constants:
+Four estimators are provided for the constants:
 
 * ``estimate_alpha``: accelerated ratio estimate of the exponential growth
   factor (1/ln 2 for binary, (k-1)/ln 2 for the k-ary table);
-* ``estimate_eta_extrapolation``: extrapolates b_n * n^{ln 2} with the
-  known first-order 1 + ln(2)/(2n) correction divided out;
+* ``estimate_eta_extrapolation``: the leading constant of a b or h
+  sequence for every arity, extrapolated from three points: eta from
+  b_n * n^{ln 2} with the known first-order 1 + ln(2)/(2n) correction
+  divided out, and the constant K of h_m ~ K m^rho from h_m * m^{-rho},
+  rho = (2 - k ln 2) / (2(k-1)) - 1;
+* ``estimate_kary_exponent``: the decay exponent rho of h from dyadic
+  slopes;
 * ``estimate_eta_integral``: independently recovers eta from the
   first-order linear ODE satisfied by the generating function b(z) of the
   scaled sequence, via variation of constants and numerical quadrature.
@@ -129,6 +134,10 @@ class ScaledSequence:
     def __post_init__(self) -> None:
         if self.kind not in ("b", "h", "a"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if self.k < 2:
+            raise ValueError("arity must be >= 2")
+        if self.kind != "h" and self.k != 2:
+            raise ValueError(f"kind {self.kind!r} sequences are binary")
 
     @property
     def max_index(self) -> int:
@@ -389,9 +398,9 @@ def _scaled_h(k: int, N: int, seed: mp.mpf) -> list:
 def scaled_h_recurrence(
     k: int, N: int, precision: Precision = Precision()
 ) -> ScaledSequence:
-    """h_1..h_N for arity k >= 3, seeded with h_1 = ln(2)/(k-1)."""
-    if k < 3:
-        raise ValueError("scaled_h_recurrence requires arity >= 3")
+    """h_1..h_N for arity k >= 2, seeded with h_1 = ln(2)/(k-1)."""
+    if k < 2:
+        raise ValueError("arity must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
     with mp.workdps(precision.dps):
@@ -450,30 +459,35 @@ def estimate_alpha(table, precision: Precision = Precision()) -> AsymptoticEstim
         return AsymptoticEstimate("alpha", full, bar, "ratio", N, table.k, precision.digits)
 
 
-def eta_refined(b: ScaledSequence, n: int) -> mp.mpf:
-    """b_n n^{ln 2} with the first-order 1 + ln(2)/(2n) correction removed."""
-    with mp.workdps(b.precision.dps):
-        ln2 = mp.ln(2)
-        return b[n] * mp.mpf(n) ** ln2 / (1 + ln2 / (2 * n))
+def estimate_eta_extrapolation(seq: ScaledSequence) -> AsymptoticEstimate:
+    """Leading constant of a kind-'b' or kind-'h' sequence by order-2 extrapolation.
 
-
-def estimate_eta_extrapolation(b: ScaledSequence) -> AsymptoticEstimate:
-    """Limit constant of b_n n^{ln 2} by order-2 extrapolation.
-
-    After dividing out the first-order correction the residual is O(n^-2);
-    degree-2 polynomial extrapolation in 1/n over n = N/4, N/2, N removes
-    it to O(n^-3), with N the last index of ``b``.  The error bar is the
+    On b it is eta of b_n ~ eta n^{-ln 2}, read from b_n n^{ln 2} with the
+    first-order 1 + ln(2)/(2n) correction divided out (record kind "eta").
+    On h of arity k it is K of h_m ~ K m^rho, rho = ``kary_exponent_target(k)``,
+    read from h_m m^{-rho} (record kind "eta_k").  Degree-2 polynomial
+    extrapolation in 1/n over n = N/4, N/2, N, with N the last index,
+    removes the terms of order n^-1 and n^-2.  The error bar is the
     distance to the order-1 result.
     """
-    if b.kind != "b":
-        raise ValueError("eta is estimated from a kind-'b' sequence")
-    N = b.max_index
+    if seq.kind == "a":
+        raise ValueError("the leading constant is estimated from a kind-'b' or kind-'h' sequence")
+    N = seq.max_index
     if N < ETA_EXTRAPOLATION_MIN_N:
         raise ValueError(f"eta extrapolation needs N >= {ETA_EXTRAPOLATION_MIN_N}")
-    with mp.workdps(b.precision.dps):
+    with mp.workdps(seq.precision.dps):
         pts = [N // 4, N // 2, N]
-        order2, bar = _extrapolate_with_bar(pts, [eta_refined(b, p) for p in pts])
-        return AsymptoticEstimate("eta", order2, bar, "extrapolation", N, 2, b.precision.digits)
+        if seq.kind == "b":
+            ln2 = mp.ln(2)  # not kary_exponent_target(2), which can differ in the last bit
+            ys = [seq[n] * mp.mpf(n) ** ln2 / (1 + ln2 / (2 * n)) for n in pts]
+        else:
+            rho = kary_exponent_target(seq.k, seq.precision)
+            ys = [seq[n] / mp.mpf(n) ** rho for n in pts]
+        value, bar = _extrapolate_with_bar(pts, ys)
+        return AsymptoticEstimate(
+            "eta" if seq.kind == "b" else "eta_k", value, bar, "extrapolation", N, seq.k,
+            seq.precision.digits,
+        )
 
 
 def second_order_residual(b: ScaledSequence, eta, n: int) -> mp.mpf:
@@ -714,27 +728,6 @@ def kary_exponent_target(k: int, precision: Precision = Precision()) -> mp.mpf:
     with mp.workdps(precision.dps):
         ln2 = mp.ln(2)
         return (2 - k * ln2) / (2 * (k - 1)) - 1
-
-
-def estimate_kary_prefactor(h: ScaledSequence) -> AsymptoticEstimate:
-    """Fitted leading constant of h_n ~ K n^target at the top of the range.
-
-    Uses the closed-form target exponent; the error bar is the drift of the
-    fitted constant between n = N/2 and n = N.
-    """
-    if h.kind != "h":
-        raise ValueError("the prefactor is fitted from a kind-'h' sequence")
-    N = h.max_index
-    if N < 100:
-        raise ValueError("prefactor fitting needs the sequence up to n >= 100")
-    with mp.workdps(h.precision.dps):
-        target = kary_exponent_target(h.k, h.precision)
-        at_n = h[N] / mp.mpf(N) ** target
-        at_half = h[N // 2] / mp.mpf(N // 2) ** target
-        return AsymptoticEstimate(
-            "eta_k", at_n, abs(at_n - at_half), "slope-fit", N, h.k,
-            h.precision.digits,
-        )
 
 
 def estimate_kary_exponent(h: ScaledSequence) -> AsymptoticEstimate:

@@ -149,6 +149,8 @@ def cmd_count(args) -> int:
     k = args.k
     if args.n is None and args.upto is None:
         raise ValueError("count needs --n or --upto")
+    if args.n is not None and args.upto is not None:
+        raise ValueError("--n and --upto cannot be used together")
     bound = args.upto if args.upto is not None else args.n
     if bound < 0:
         raise ValueError(f"size must be nonnegative, got {bound}")
@@ -217,8 +219,6 @@ def cmd_scaled(args) -> int:
     if args.kind == "b":
         seq = asymptotics.scaled_b_recurrence(args.upto, p)
     elif args.kind == "h":
-        if args.k < 3:
-            raise ValueError("kind 'h' needs --k >= 3")
         seq = asymptotics.scaled_h_recurrence(args.k, args.upto, p)
     else:
         b = asymptotics.scaled_b_recurrence(args.upto, p)
@@ -243,10 +243,8 @@ def cmd_estimate(args) -> int:
     method = args.method or next(iter(methods))
     if method not in methods:
         raise ValueError(f"method {method!r} is not valid for target {target!r}")
-    if target == "eta" and args.k != 2:
-        raise ValueError("eta is the binary constant; use --k 2, or estimate exponent for k >= 3")
-    if target == "exponent" and args.k < 3:
-        raise ValueError("exponent estimation needs --k >= 3")
+    if method == "integral" and args.k != 2:
+        raise ValueError("the integral route is binary; use --k 2")
     N = default_N if args.N is None else args.N
     if N < methods[method]:
         raise ValueError(f"estimate {target} needs --N >= {methods[method]}, got {N}")
@@ -260,7 +258,7 @@ def cmd_estimate(args) -> int:
     if target == "alpha":
         table = _build_table(args.k, "B" if args.k == 2 else "H", N)
         est = asymptotics.estimate_alpha(table, p)
-    elif target == "eta":
+    elif target == "eta" and args.k == 2:
         b = asymptotics.scaled_b_recurrence(N, p)
         if method == "extrapolation":
             est = asymptotics.estimate_eta_extrapolation(b)
@@ -275,7 +273,8 @@ def cmd_estimate(args) -> int:
             est = asymptotics.estimate_eta_integral(a)
     else:
         h = asymptotics.scaled_h_recurrence(args.k, N, p)
-        est = asymptotics.estimate_kary_exponent(h)
+        est = (asymptotics.estimate_eta_extrapolation(h) if target == "eta"
+               else asymptotics.estimate_kary_exponent(h))
     print(est.record())
     return 0
 
@@ -296,7 +295,8 @@ def cmd_figure(args) -> int:
         header = ",".join(["n", *(f"h_n_k{k}" for k in ks), *(f"asymptote_k{k}" for k in ks)])
         with mp.workdps(p.dps):
             targets = {k: asymptotics.kary_exponent_target(k, p) for k in ks}
-            prefs = {k: asymptotics.estimate_kary_prefactor(seqs[k]).value for k in ks}
+            # fitted at the last row, so that each asymptote meets h_n there
+            prefs = {k: seqs[k][1000] / mp.mpf(1000) ** targets[k] for k in ks}
 
         def values(n):
             return [seqs[k][n] for k in ks] + [prefs[k] * mp.mpf(n) ** targets[k] for k in ks]
@@ -309,6 +309,12 @@ def cmd_figure(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    sources = [flag for flag, on in (("--self", args.self_check), ("--bfile", args.bfile),
+                                     ("--fetch", args.fetch)) if on]
+    if not sources:
+        raise ValueError("oeis-check needs --bfile PATH, --fetch, or --self")
+    if len(sources) > 1:
+        raise ValueError(f"{' and '.join(sources)} cannot be used together")
     _check_least("--upto", args.upto, 9)  # find_shift needs 10 matching values, n = 0..9
     _check_size("--upto", args.upto, lambda N: _table_bits(2, N))
     table = exact.count_binary_upto(args.upto)
@@ -318,13 +324,11 @@ def cmd_oeis_check(args) -> int:
         )
     elif args.bfile:
         bfile = oeis.load_bfile(args.bfile, args.id)
-    elif args.fetch:
+    else:
         dest = os.path.join(_made_dir(args.cache_dir), f"b{args.id[1:]}.txt")
         oeis.fetch_bfile(args.id, dest)
         print(f"fetched {oeis.bfile_url(args.id)} -> {dest}", file=sys.stderr)
         bfile = oeis.load_bfile(dest, args.id)
-    else:
-        raise ValueError("oeis-check needs --bfile PATH, --fetch, or --self")
     report = oeis.find_shift(table, bfile, args.upto)
     status = "ok" if report.matched >= args.upto - abs(report.offset) else "short-match"
     print(

@@ -198,12 +198,14 @@ def test_dual_route_agreement_to_1000(bseq1200, prec30):
 
 
 def test_scaled_from_exact_kary(htab3_60, prec30):
-    hx = scaled_from_exact(htab3_60, prec30)
-    assert mp.almosteq(hx[1], LN2 / 2)
-    h = scaled_h_recurrence(3, 60, prec30)
     tol = prec30.tolerance()
-    for n in range(1, 61):
-        assert abs(hx[n] - h[n]) <= tol * h[n]
+    for table in (htab3_60, count_kary_upto(2, 60)):
+        k = table.k
+        hx = scaled_from_exact(table, prec30)
+        assert mp.almosteq(hx[1], LN2 / (k - 1))
+        h = scaled_h_recurrence(k, 60, prec30)
+        for n in range(1, 61):
+            assert abs(hx[n] - h[n]) <= tol * h[n], (k, n)
 
 
 @pytest.mark.parametrize("digits", [15, 30])
@@ -394,9 +396,20 @@ def test_h_power_bound(hseq3_2000):
         assert 0 <= hseq3_2000[n] <= mp.mpf(n) ** -LN2
 
 
-def test_h_requires_k3():
-    with pytest.raises(ValueError):
-        scaled_h_recurrence(2, 10)
+def test_h_requires_k2():
+    with pytest.raises(ValueError, match="^arity must be >= 2$"):
+        scaled_h_recurrence(1, 10)
+
+
+@pytest.mark.parametrize("kind, k, message", [
+    ("b", 3, "kind 'b' sequences are binary"),
+    ("a", 13, "kind 'a' sequences are binary"),
+    ("h", 1, "arity must be >= 2"),
+    ("b", 0, "arity must be >= 2"),
+])
+def test_scaled_sequence_checks_its_arity(kind, k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        asy.ScaledSequence(kind, k, (mp.mpf(0),), Precision(15))
 
 
 # ---------------------------------------------------------------- estimators
@@ -719,11 +732,46 @@ def test_kary_exponent_insufficient_range(prec30):
 
 
 def test_kary_prefactor_stabilizes(hseq3_2000):
-    est = asy.estimate_kary_prefactor(hseq3_2000)
-    assert est.kind == "eta_k" and est.k == 3
+    est = estimate_eta_extrapolation(hseq3_2000)
+    assert (est.kind, est.method, est.n_used, est.k) == ("eta_k", "extrapolation", 2000, 3)
     assert est.value > 0
-    # the fitted constant has settled: the half-range drift is small
-    assert est.error <= mp.mpf("1e-3") * est.value
+    # the constant has settled: the order-1 and order-2 fits agree closely
+    assert est.error <= mp.mpf("1e-7") * est.value
+
+
+def test_eta_refuses_a_correction_sequence(aseq1200):
+    with pytest.raises(ValueError, match="kind-'b' or kind-'h'"):
+        estimate_eta_extrapolation(aseq1200)
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_h(k, N, digits):
+    return scaled_h_recurrence(k, N, Precision(digits))
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("k", [3, 13, 49])
+def test_kary_constant_error_bars_cover_the_distance_to_longer_runs(k, digits):
+    # the bar at N = 1000 covers the distance to the same estimator at 2N,
+    # 4N and 8N (D = 30), with that reference's own bar added
+    est = estimate_eta_extrapolation(_scaled_h(k, 1000, digits))
+    assert (est.kind, est.n_used, est.k, est.digits) == ("eta_k", 1000, k, digits)
+    h = _scaled_h(k, 8000, 30)
+    for N in (2000, 4000, 8000):
+        ref = estimate_eta_extrapolation(_prefix(h, N))
+        with mp.workdps(h.precision.dps):
+            assert abs(est.value - ref.value) + ref.error <= est.error, N
+
+
+@pytest.mark.parametrize("N", [1000, 2000])
+def test_binary_eta_is_ln2_times_the_k2_constant(N, prec30):
+    # b_n = ln 2 h_{n-1} at k = 2, so eta = ln 2 K within the two bars
+    eta = estimate_eta_extrapolation(_scaled_b(N, 30))
+    K = estimate_eta_extrapolation(_scaled_h(2, N, 30))
+    assert (eta.kind, K.kind, K.k) == ("eta", "eta_k", 2)
+    with mp.workdps(prec30.dps):
+        ln2 = mp.ln(2)
+        assert abs(eta.value - ln2 * K.value) <= eta.error + ln2 * K.error
 
 
 # ---------------------------------------------------------------- records

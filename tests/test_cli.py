@@ -102,8 +102,8 @@ def test_scaled_csv(tmp_path):
 
 
 def test_scaled_h_needs_k(tmp_path):
-    cp = run_cli("scaled", "--kind", "h", "--upto", "10")
-    assert cp.returncode == 1 and "k >= 3" in cp.stderr
+    cp = run_cli("scaled", "--kind", "h", "--k", "1", "--upto", "10")
+    assert cp.returncode == 1 and cp.stderr == "witrees: error: arity must be >= 2\n"
 
 
 def test_estimate_alpha_record():
@@ -131,8 +131,8 @@ def test_estimate_exponent():
 def test_estimate_invalid_pairing():
     cp = run_cli("estimate", "alpha", "--method", "integral")
     assert cp.returncode == 1 and "not valid" in cp.stderr
-    cp = run_cli("estimate", "exponent", "--k", "2", "--N", "2000")
-    assert cp.returncode == 1
+    cp = run_cli("estimate", "eta", "--k", "3", "--method", "integral", "--N", "600")
+    assert cp.returncode == 1 and "integral route is binary" in cp.stderr
 
 
 def test_figure_fig2_deterministic(tmp_path):
@@ -374,15 +374,30 @@ def test_scaled_binary_kinds_reject_other_arities(tmp_path, capsys, kind, k):
 
 @pytest.mark.parametrize("method", ["extrapolation", "integral"])
 def test_estimate_eta_rejects_other_arities(capsys, method):
+    # extrapolation serves every arity k >= 2, the integral route only k = 2
     from witrees import cli
 
-    assert cli.main(["estimate", "eta", "--k", "3", "--N", "1100", "--method", method]) == 1
+    k, message = {"extrapolation": (1, "arity must be >= 2"),
+                  "integral": (3, "the integral route is binary; use --k 2")}[method]
+    assert cli.main(["estimate", "eta", "--k", str(k), "--N", "1100", "--method", method]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        "witrees: error: eta is the binary constant; use --k 2, "
-        "or estimate exponent for k >= 3\n"
-    )
+    assert err == f"witrees: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--n", "5", "--upto", "3"], "--n and --upto cannot be used together"),
+    (["oeis-check", "--self", "--bfile", "F"], "--self and --bfile cannot be used together"),
+    (["oeis-check", "--upto", "30000"], "oeis-check needs --bfile PATH, --fetch, or --self"),
+])
+def test_conflicting_flags_are_refused_by_name(monkeypatch, capsys, argv, message):
+    # refused before any table is built
+    from witrees import cli, exact
+
+    for name in [n for n in dir(exact) if n.startswith("count_")]:
+        monkeypatch.setattr(exact, name, lambda *args: pytest.fail("a table was built"))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"witrees: error: {message}\n")
 
 
 @pytest.mark.parametrize(

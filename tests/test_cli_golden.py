@@ -57,6 +57,17 @@ COMMANDS = [
     # label-stratified counts B_{m,n}
     "table --kind Bmn --upto 60 --out F",
     "table --kind Bmn --upto 200 --out F",
+    # binary eta records at D = 15 and 30 and N = 1000, 3000, 5000, with the
+    # two pinned above
+    "estimate eta --N 1000",
+    "estimate eta --N 3000 --digits 15",
+    "estimate eta --N 5000 --digits 15",
+    "estimate eta --N 5000",
+    # the k-ary readings of the estimators and of the h kernel, k = 2 included
+    "estimate eta --k 3 --N 1000 --digits 15",
+    "estimate eta --k 13 --N 1000 --digits 15",
+    "estimate exponent --k 2 --N 2000 --digits 15",
+    "scaled --kind h --k 2 --upto 300 --digits 30",
 ]
 
 
