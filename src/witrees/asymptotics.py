@@ -289,7 +289,7 @@ def scaled_from_exact(table, precision: Precision = Precision()) -> ScaledSequen
         ln2 = mpf_ln2(wp)
         values = [mp.mpf(0)] * table.offset
         d = 1
-        for m, v in enumerate(table.values[table.offset:]):
+        for m, v in enumerate(table.h_values):
             scale = mpf_pow_int(ln2, m + table.offset, wp)
             values.append(mp.mpf(mpf_mul(from_rational(v, d, wp), scale, prec, round_nearest)))
             d *= (m + 1) * (table.k - 1)

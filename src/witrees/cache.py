@@ -166,7 +166,7 @@ def cache_load(
         table = CountTable(k, kind, ROUTE_RECURRENCE, tuple(entries))
     except ValueError as exc:
         raise CacheError(f"{path}: {exc}") from None
-    bad = _first_bad_residue(k, entries[table.offset :])
+    bad = _first_bad_residue(k, table.h_values)
     if bad is not None:
         raise CacheError(
             f"{path}: index {bad + table.offset} does not match the size recurrence {_CHECKED}"

@@ -17,7 +17,7 @@ import sys
 import mpmath as mp
 
 from . import asymptotics, cache, exact, oeis, sampler, trees
-from .exact import MAX_BUILD_BITS, TREE_SLOT_BITS
+from .exact import MAX_BUILD_BITS, TREE_SLOT_BITS, h_index
 
 
 def _default_cache_dir() -> str:
@@ -55,15 +55,9 @@ def _write_lines(path: str | None, lines) -> None:
 
 # --------------------------------------------------------------------------
 # size limits (MAX_BUILD_BITS and TREE_SLOT_BITS live in ``exact``, beside
-# the tree guard that ``enumerate_all`` checks with them)
+# the tree guard that ``enumerate_all`` checks with them, and so does the
+# size -> H-index map, h_index)
 # --------------------------------------------------------------------------
-
-
-def _h_index(k: int, n: int) -> int:
-    """H-index of the largest size up to n: arity-k trees have sizes 1 + (k-1)m."""
-    if k < 2:
-        raise ValueError("arity must be >= 2")
-    return max(0, (n - 1) // (k - 1))
 
 
 def _table_bits(k: int, M: int) -> float:
@@ -87,7 +81,7 @@ def _brute_bits(k: int, n: int) -> int:
     The exhaustive route holds one flat tree and one canonical encoding
     per tree, not the trees themselves; the bound is kept as its check.
     """
-    M = min(_h_index(k, n), 64)  # 64 labels are far beyond any enumeration
+    M = min(h_index(k, n), 64)  # 64 labels are far beyond any enumeration
     return exact._h_counts(k, max(M, 1))[-1] * n * TREE_SLOT_BITS
 
 
@@ -96,7 +90,7 @@ def _sample_bits(k: int, n: int) -> float:
     for the work of building the exact table (its check is taken modulo a
     prime and costs far less): work, not memory, kept so that an accepted
     size does not run for hours."""
-    M = _h_index(k, n)
+    M = h_index(k, n)
     return _table_bits(k, M) + _cubic_bits(k, M) + n * TREE_SLOT_BITS
 
 
@@ -157,15 +151,15 @@ def cmd_count(args) -> int:
     flag = "--n" if args.upto is None else "--upto"
     if args.route == "funceq":
         _check_size(flag, bound,
-                    lambda n: (k - 1) * _cubic_bits(k, _h_index(k, n) + 1) if n >= k else 0)
+                    lambda n: (k - 1) * _cubic_bits(k, h_index(k, n) + 1) if n >= k else 0)
         table = (exact.count_binary_funceq(max(bound, 2)) if k == 2
-                 else exact.count_kary_funceq(k, max(1, _h_index(k, bound))))
+                 else exact.count_kary_funceq(k, max(1, h_index(k, bound))))
         get = table.g
     elif args.route == "brute":
         _check_size(flag, bound, lambda n: _brute_bits(k, n))
         get = lambda n: exact.brute_force_count(k, n)  # noqa: E731
     else:
-        _check_size(flag, bound, lambda n: _table_bits(k, _h_index(k, n)))
+        _check_size(flag, bound, lambda n: _table_bits(k, h_index(k, n)))
         get = exact.count_upto_size(k, bound).g
 
     if args.upto is None:

@@ -10,6 +10,9 @@ Three independent routes are implemented:
 
   ``count_binary_upto`` is the k = 2 view indexed by size, B_n = H_{n-1};
   the recurrence then reads B_n = sum_{l=1}^{floor(n/2)} C(n-l, l) B_{n-l}.
+  This module owns the lattice: ``h_index`` maps a size to its H-index and
+  ``CountTable.h_values`` is a table's H view, whatever its kind; the other
+  modules read these two.
   The tables sum it by the columns j = m - s of ``_columns``, so a term
   costs two multiplies by small ints (the column's next factor and a
   Horner step in s) and no division; each index ends with one exact
@@ -72,6 +75,13 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def h_index(k: int, n: int) -> int:
+    """H-index of the largest size up to n: arity-k trees have sizes 1 + (k-1)m."""
+    if k < 2:
+        raise ValueError("arity must be >= 2")
+    return max(0, (n - 1) // (k - 1))
+
+
 def kary_smax(m: int, k: int) -> int:
     """Upper summation index of the k-ary recurrence: m - ceil((m-1)/k)."""
     return m - (m + k - 2) // k
@@ -111,6 +121,11 @@ class CountTable:
         """Table index minus H-index: 1 for kind B, 0 for kind H."""
         return 1 if self.kind == "B" else 0
 
+    @property
+    def h_values(self) -> tuple[int, ...]:
+        """The H view H_0..H_M of the table, whatever its kind."""
+        return self.values[self.offset :]
+
     def entry(self, n: int) -> int:
         """Table value at index ``n`` (size for kind B, H-index for kind H)."""
         if not 0 <= n <= self.max_index:
@@ -121,7 +136,7 @@ class CountTable:
         """Number of trees of *size* ``n``; zero off the arity lattice."""
         if n < 1 or (n - 1) % (self.k - 1) != 0:
             return 0
-        return self.entry((n - 1) // (self.k - 1) + self.offset)
+        return self.entry(h_index(self.k, n) + self.offset)
 
 
 @dataclass(frozen=True)
@@ -378,11 +393,8 @@ def count_upto_size(k: int, n: int) -> CountTable:
 
     Kind B (indexed by size) at k = 2, kind H (indexed by m) otherwise.
     """
-    if k < 2:
-        raise ValueError("arity must be >= 2")
-    if k == 2:
-        return count_binary_upto(max(n, 2))
-    return count_kary_upto(k, max(1, (n - 1) // (k - 1)))
+    M = h_index(k, n)
+    return count_binary_upto(max(M + 1, 2)) if k == 2 else count_kary_upto(k, max(1, M))
 
 
 def brute_force_count(k: int, n: int, guard: int | None = None) -> int:

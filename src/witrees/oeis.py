@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .cache import _atomic_write, _read_text
@@ -96,11 +97,12 @@ def fetch_bfile(seq_id: str, dest_path: str, timeout: float = 30.0) -> str:
 def find_shift(counts, bfile: OeisBFile, upto: int) -> ShiftReport:
     """Best shift s such that counts.entry(n) == a(n - s) on a maximal prefix.
 
-    All shifts giving a nonempty overlap with 0..upto are tried in
-    ascending order; the report carries the longest agreeing prefix, and
-    ``max`` keeps the first of equal keys, so ties go to the smaller |s|
-    and then to the negative s.  Raises ``ValueError`` when no shift
-    achieves at least 10 matches.
+    The shifts whose overlap with 0..upto starts at a catalogued index are
+    tried in ascending order (no other shift matches a value, so a b-file
+    with one far index costs no more than its length).  The report carries
+    the longest agreeing prefix, and ``max`` keeps the first of equal keys,
+    so ties go to the smaller |s| and then to the negative s.  Raises
+    ``ValueError`` when no shift achieves at least 10 matches.
     """
     if upto > counts.max_index:
         raise ValueError(f"table covers only 0..{counts.max_index}, need {upto}")
@@ -121,9 +123,11 @@ def find_shift(counts, bfile: OeisBFile, upto: int) -> ShiftReport:
                 break
         return ShiftReport(bfile.seq_id, s, matched, hi - lo + 1, mismatch)
 
-    # each shift overlaps 0..upto; with upto < 0 none does, and none matches
-    shifts = map(report, range(-i_max, upto - i_min + 1))
-    best = max(shifts, key=lambda r: (r.matched, -abs(r.offset)), default=None)
+    # the first index compared under s is max(-s, i_min): catalogued for
+    # s = -i, i in the b-file, and for -i_min < s <= upto - i_min; both
+    # runs ascend, the first below the second
+    shifts = chain((-i for i, _ in reversed(bfile.entries)), range(1 - i_min, upto - i_min + 1))
+    best = max(map(report, shifts), key=lambda r: (r.matched, -abs(r.offset)), default=None)
     if best is None or best.matched < 10:
         raise ValueError(
             f"no shift matches {bfile.seq_id} on at least 10 consecutive values"

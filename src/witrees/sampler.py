@@ -4,7 +4,8 @@
 by running all growth histories; each tree appears exactly once because a
 tree determines its history.  The histories are walked depth first on one
 flat ``GrowingTree``, with the walk's frames on an explicit stack: a leaf
-subset is expanded in place, the walk descends, and the step is undone.
+subset is expanded in place, the walk descends, and the step is undone
+by ``trees._undo_flat``, the undo of a rejected step.
 At each finished tree the walk hands the state to a visitor, which
 ``enumerate_all`` freezes and ``exact.brute_force_count`` encodes without
 building the tree; the tree guard is checked against the exact count
@@ -18,7 +19,9 @@ its leaves expanded, where s is chosen with probability
 C(1+(m-s)(k-1), s) * H_{m-s} / H_m (for binary trees of size n = m+1 this
 is C(n-s, s) * B_{n-s} / B_n).  All choices are made with exact integer
 arithmetic on the count table, so the output distribution is exactly
-uniform, not merely approximately so.  ``SamplerContext.create`` checks
+uniform, not merely approximately so.  The size's H-index and the table's
+H view come from ``exact`` (``h_index`` and ``CountTable.h_values``), so
+the descent reads kind B and kind H tables alike.  ``SamplerContext.create`` checks
 its whole table once against the size recurrence, by the package's one
 table check (``exact._first_bad_residue``, taken modulo 2^127 - 1 by
 code independent of the table build); the weights at m sum to H_m
@@ -49,6 +52,7 @@ from .trees import (
     CompletedTree,
     GrowingTree,
     _grow_flat,
+    _undo_flat,
     evolution_step,
     root_tree,
 )
@@ -60,24 +64,23 @@ def _walk_histories(k: int, n: int, guard: int | None, visit, slot_bits: int = 0
     One ``GrowingTree`` is walked depth first on an explicit stack of
     frames, so a deep history needs no recursion.  Each frame expands its
     leaf subsets in place by ``_grow_flat`` one at a time, walks below
-    each, and undoes it by unlinking the new nodes, truncating ``labels``
-    and ``children`` and restoring the saved leaf list.  Subsets are taken
-    by increasing size, then lexicographically by preorder leaf index.
+    each, and undoes it by ``_undo_flat`` on the indices it expanded.
+    Subsets are taken by increasing size, then lexicographically by
+    preorder leaf index.
     ``visit`` gets the state of each finished tree and must not change it.
     Returns the number of trees; first raises :class:`GuardExceeded` if
     H_min(m, 64) for n's H-index m exceeds ``guard`` (H rises with m; H_64
     passes any guard), and then if that many trees at ``slot_bits`` bits a
     slot exceed ``exact.MAX_BUILD_BITS``.
     """
-    if k < 2:
-        raise ValueError("arity must be >= 2")
+    m = exact.h_index(k, n)
     if n < 0:
         raise ValueError("size must be nonnegative")
     limit = exact.DEFAULT_TREE_GUARD if guard is None else guard
     # sizes are 1 + (k-1)m, from the root tree's k up
     if n < k or (n - 1) % (k - 1):
         return 0
-    count = exact._h_counts(k, min((n - 1) // (k - 1), 64))[-1]
+    count = exact._h_counts(k, min(m, 64))[-1]
     if count > limit:
         raise GuardExceeded(f"more than {limit} trees of size {n}; raise the guard to proceed")
     if count * n * slot_bits > exact.MAX_BUILD_BITS:
@@ -89,7 +92,6 @@ def _walk_histories(k: int, n: int, guard: int | None, visit, slot_bits: int = 0
     if n == k:
         visit(state)
         return 1
-    labels, children = state.labels, state.children
 
     def subsets(size: int):
         return itertools.chain.from_iterable(
@@ -104,11 +106,7 @@ def _walk_histories(k: int, n: int, guard: int | None, visit, slot_bits: int = 0
     while frames:
         frame = frames[-1]
         remaining, leaves, top, label, applied = frame
-        for i in applied:
-            parent, slot = leaves[i]
-            children[parent][slot] = -1
-        del labels[top:], children[top:]
-        state.leaves = leaves
+        _undo_flat(state, leaves, applied, top)
         subset = next(remaining, None)
         if subset is None:
             frames.pop()
@@ -120,7 +118,7 @@ def _walk_histories(k: int, n: int, guard: int | None, visit, slot_bits: int = 0
             found += 1
             visit(state)
         else:
-            frames.append([subsets(size), state.leaves, len(labels), label + 1, ()])
+            frames.append([subsets(size), state.leaves, len(state.labels), label + 1, ()])
     return found
 
 
@@ -167,7 +165,7 @@ class SamplerContext:
         entry off by a multiple of that prime passes.
         """
         ctx = cls(k, exact.count_upto_size(k, max_size), seed, random.Random(seed))
-        bad = exact._first_bad_residue(k, ctx.table.values[ctx.table.offset :])
+        bad = exact._first_bad_residue(k, ctx.table.h_values)
         if bad is not None:
             m = bad + ctx.table.offset
             raise AssertionError(f"expansion weights at index {m} do not sum to the count")
@@ -209,13 +207,13 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     k = ctx.k
     if ctx.table.g(n) == 0:
         raise ValueError(f"no {k}-ary tree has size {n}")
-    H = ctx.table.values[ctx.table.offset :]
+    H = ctx.table.h_values
 
     # walk the recurrence down from the H-index of size n to 1, drawing per
     # level the first s whose cumulative weight C(1+(h-s)(k-1), s) H[h-s]
     # exceeds r, uniform below H[h]; a level typically scans one to three
     takes: list[int] = []
-    h = (n - 1) // (k - 1)
+    h = exact.h_index(k, n)
     while h > 1:
         r = _randbelow(ctx.rng, H[h])
         acc = 0

@@ -380,7 +380,8 @@ class GrowingTree:
     and costs O(size); ``freeze`` builds the immutable tree once.
 
     The sampler grows a state to its final size.  The exhaustive walk
-    (``sampler._walk_histories``) also undoes steps on it, and
+    (``sampler._walk_histories``) also undoes steps on it by ``_undo_flat``,
+    which a rejected step uses too, and
     ``_encode_flat`` writes a state's canonical encoding without freezing.
     """
 
@@ -431,7 +432,7 @@ def _grow_flat(t: GrowingTree, leaf_indices, next_label: int) -> GrowingTree:
     # one pass: link each new node and put its k bullets in the place of
     # the expanded bullet in preorder, which the earlier ones moved right
     top = node = len(labels)
-    spliced = leaves.copy()
+    t.leaves = spliced = leaves.copy()
     start = 0
     try:
         for i in leaf_indices:
@@ -448,14 +449,26 @@ def _grow_flat(t: GrowingTree, leaf_indices, next_label: int) -> GrowingTree:
         if node == top:
             raise ValueError("leaf subset must be nonempty")
     except BaseException:
-        # a rejected step changes nothing: drop the nodes added so far
-        for parent, slot in leaves:
-            if children[parent][slot] >= top:
-                children[parent][slot] = -1
-        del labels[top:], children[top:]
+        # a rejected step changes nothing: every old leaf was a bullet
+        _undo_flat(t, leaves, range(len(leaves)), top)
         raise
-    t.leaves = spliced
     return t
+
+
+def _undo_flat(t: GrowingTree, leaves, indices, top: int) -> None:
+    """Undo growth back to the state whose leaf list was ``leaves`` and node count ``top``.
+
+    The slots ``leaves[i]`` for i in ``indices`` become bullets again (they
+    must include every expanded one), ``labels`` and ``children`` are cut
+    back to ``top`` nodes and ``leaves`` is restored.  Both the rollback of
+    a rejected step and the exhaustive walk's undo use it.
+    """
+    children = t.children
+    for i in indices:
+        parent, slot = leaves[i]
+        children[parent][slot] = -1
+    del t.labels[top:], children[top:]
+    t.leaves = leaves
 
 
 def evolution_step(

@@ -204,6 +204,17 @@ def test_oeis_check_fixture(bfile_fixture_path):
     assert "offset=1" in cp.stdout and "status=ok" in cp.stdout
 
 
+def test_oeis_check_b_file_with_one_far_index(bfile_fixture_path, tmp_path):
+    # only shifts whose first compared index is catalogued are tried, so a
+    # far index adds one shift, not 10^12 of them
+    far = tmp_path / "far.txt"
+    with open(bfile_fixture_path) as fh:
+        far.write_text(fh.read() + "1000000000000 7\n")
+    cp = run_cli("oeis-check", "--bfile", str(far), timeout=20)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "A171792 offset=1 matched=49 overlap=49 status=ok\n"
+
+
 def test_oeis_check_self():
     cp = run_cli("oeis-check", "--self", "--upto", "30")
     assert cp.returncode == 0

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 import time
@@ -463,6 +464,28 @@ def test_flat_evolution_errors():
     # the indices may come from any iterable, a one-shot generator included
     grown = evolution_step(state, (i for i in (0, 1)), 2)
     assert grown.freeze() == evolution_step(root_tree(2), [(0,), (1,)], 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_rejected_step_on_a_grown_state_changes_nothing(k):
+    state = GrowingTree(k)
+    evolution_step(state, [0, k - 1], 2)
+    evolution_step(state, [1, 3 * k - 3], 3)
+
+    def interrupted():
+        yield 1
+        raise KeyboardInterrupt
+
+    # each rejection comes after at least one index was applied
+    for indices, error in (
+        ([2, 1], ValueError),
+        ([0, state.size], ValueError),
+        (interrupted(), KeyboardInterrupt),
+    ):
+        before = copy.deepcopy((state.labels, state.children, state.leaves))
+        with pytest.raises(error):
+            evolution_step(state, indices, 4)
+        assert (state.labels, state.children, state.leaves) == before
 
 
 # ---------------------------------------------------------------- encoding
