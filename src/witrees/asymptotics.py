@@ -535,7 +535,7 @@ def _phi_reg(s: mp.mpf) -> mp.mpf:
     return (ln2 - 1) * t_sum / ew - ln2 * mp.power(2, -w) / ew
 
 
-def _neg_log_g_reg(w: mp.mpf) -> mp.mpf:
+def _neg_log_g_reg(w: mp.mpf, ew: mp.mpf | None = None) -> mp.mpf:
     """Int_0^{1-w} phi_reg(s) ds in closed form, so g_reg(1-w) = exp(-this).
 
     Integrating phi by parts gives, with t = 1 - w,
@@ -552,9 +552,11 @@ def _neg_log_g_reg(w: mp.mpf) -> mp.mpf:
 
     with the polylogarithm argument in [0, 1/2] for w in [0, 1].
     The dilogarithm is ``_li2_one_minus_pow2(w)``, a fixed-point series.
+    ``ew`` is E(w) when the caller already has it.
     """
     ln2 = mp.ln(2)
-    ew = _expm1_ratio(w)
+    if ew is None:
+        ew = _expm1_ratio(w)
     return (
         (1 - ln2) * mp.log(2 * ln2 * ew) + ln2 ** 2 / 2 - mp.pi ** 2 / 12
         + _li2_one_minus_pow2(w)
@@ -697,8 +699,9 @@ def estimate_eta_integral(a: ScaledSequence) -> AsymptoticEstimate:
         def integrand(u: mp.mpf) -> mp.mpf:
             # t = 1 - u^{1/omega} flattens the (1-t)^{-ln 2} endpoint
             w = u ** (1 / omega)
-            g_reg = mp.exp(-_neg_log_g_reg(w))
-            return w_prime(w) / (2 * ln2 * _expm1_ratio(w) * g_reg)
+            ew = _expm1_ratio(w)
+            g_reg = mp.exp(-_neg_log_g_reg(w, ew))
+            return w_prime(w) / (2 * ln2 * ew * g_reg)
 
         quad_val, quad_err = mp.quad(integrand, [0, 1], error=True)
         integral = quad_val / omega

@@ -7,8 +7,9 @@ flat ``GrowingTree``, with the walk's frames on an explicit stack: a leaf
 subset is expanded in place, the walk descends, and the step is undone
 by ``trees._undo_flat``, the undo of a rejected step.
 At each finished tree the walk hands the state to a visitor, which
-``enumerate_all`` freezes and ``exact.brute_force_count`` encodes without
-building the tree; the tree guard is checked against the exact count
+``enumerate_all`` freezes and ``exact.brute_force_count`` encodes, both
+by one preorder walk of the state that builds no node; the tree guard is
+checked against the exact count
 before the walk starts, and for ``enumerate_all`` then the frozen trees'
 footprint against ``exact.MAX_BUILD_BITS``.
 
@@ -29,9 +30,10 @@ exactly when H_m is the recurrence's value.  The descent takes each
 weight it scans from ``math.comb`` and keeps nothing.  The
 expansions are replayed by ``evolution_step`` on a flat mutable
 ``GrowingTree`` (labels, child ids and the preorder leaf list) at O(n)
-per growth step, and the immutable tree is built once at the end; the
-random stream and hence every seeded output is the same as replaying
-them on immutable trees.
+per growth step, and frozen once at the end into a ``CompletedTree``
+that holds its preorder labels and child masks; its nodes are built only
+if its ``root`` is read.  The random stream and hence every seeded
+output is the same as replaying them on immutable trees.
 
 Randomness comes from Python's ``random.Random`` (MT19937).  Uniform
 integers below a bound are drawn by rejection on ``getrandbits`` and leaf
@@ -202,12 +204,16 @@ def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     """Draw a tree of size ``n`` exactly uniformly at random.
 
     Raises ``ValueError`` when no tree of that size exists (off-lattice
-    k-ary sizes, or sizes below the root tree).
+    k-ary sizes, or sizes below the root tree), and when the size is
+    beyond the context's table.
     """
     k = ctx.k
-    if ctx.table.g(n) == 0:
+    if n < k or (n - 1) % (k - 1):
         raise ValueError(f"no {k}-ary tree has size {n}")
     H = ctx.table.h_values
+    largest = 1 + (k - 1) * (len(H) - 1)
+    if n > largest:
+        raise ValueError(f"size {n} is beyond this context's table (sizes up to {largest})")
 
     # walk the recurrence down from the H-index of size n to 1, drawing per
     # level the first s whose cumulative weight C(1+(h-s)(k-1), s) H[h-s]

@@ -27,10 +27,15 @@ k fresh bullet-leaves.  Every completed tree is produced by exactly one
 sequence of such steps starting from the one-node root tree, which is what
 makes counting and uniform sampling by recurrence possible.
 
-``decode_encoding`` and ``complete`` build their nodes through one
-bottom-up builder from preorder labels and child masks; ``complete`` and
-``Node``'s ``==`` and ``hash`` read one preorder stream of (label, slot
-occupancy) pairs.
+A completed tree that the package makes holds its canonical preorder,
+the nodes' labels and child masks that the byte encoding writes.
+``GrowingTree.freeze`` reads them off the flat state in one walk, and
+``decode_encoding`` and ``complete`` keep the lists they read.  Every job
+on such a tree reads those lists; its ``Node`` tree is built, bottom-up
+by ``_build``, only when its ``root`` is read.  A tree given by its
+nodes, as ``LabeledTree(root)`` or ``CompletedTree(arity, root)``, is
+walked node by node; ``complete`` and ``Node``'s ``==`` and ``hash``
+read one preorder stream of (label, slot occupancy) pairs.
 
 All tree values are immutable; operations return new trees.  The one
 exception is ``GrowingTree``, a mutable flat state.  The exact sampler
@@ -41,7 +46,7 @@ finished tree from it, frozen or as its canonical encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import eq, index
@@ -94,6 +99,21 @@ def _stream(root: "Node") -> Iterator[tuple[int, tuple[int, ...]]]:
         stack.extend(x for x in reversed(slots) if isinstance(x, Node))
 
 
+def _fold(stream) -> int:
+    """The hash of a preorder stream of (label, slot occupancy) pairs."""
+    h = 0
+    for label, occupancy in stream:
+        h = hash((h, label, occupancy))
+    return h
+
+
+class _Hashed(int):
+    """A node's hash that hashes to itself, to stand for the node in a hashed tuple."""
+
+    def __hash__(self) -> int:
+        return int(self)
+
+
 @dataclass(frozen=True, eq=False)
 class Node:
     """A labeled node with a fixed tuple of positional child slots.
@@ -119,10 +139,7 @@ class Node:
 
     @cached_property
     def _hash(self) -> int:
-        h = 0
-        for label, occupancy in _stream(self):
-            h = hash((h, label, occupancy))
-        return h
+        return _fold(_stream(self))
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -150,25 +167,87 @@ class LabeledTree:
     root: Node
 
 
-@dataclass(frozen=True)
 class CompletedTree:
-    """A weakly increasing tree with all empty slots filled by bullets."""
+    """A weakly increasing tree with all empty slots filled by bullets.
 
-    arity: int
-    root: Node
+    A tree that the package makes (``GrowingTree.freeze``,
+    ``decode_encoding``, ``complete``, ``root_tree``) holds its canonical
+    preorder: its nodes' labels and child masks (bit i set when slot i
+    holds a child), the two lists that ``canonical_encoding`` writes.
+    ``validate``, ``canonical_encoding``, ``size``, ``max_label``,
+    ``tree_statistics``, ``==`` and ``hash`` read them in one walk, and
+    ``root`` builds the nodes from them, by ``_build``, when it is first
+    read.  A tree made as ``CompletedTree(arity, root)`` has no preorder,
+    and each of those readers walks its nodes.  Equality, hashes and
+    ``repr`` are those of a frozen dataclass of ``arity`` and ``root``,
+    and so is the refusal to set or delete an attribute.
+    """
+
+    def __init__(self, arity: int, root: Node) -> None:
+        self.__dict__.update(arity=arity, _root=root, _preorder=None)
+
+    @classmethod
+    def _of_preorder(cls, arity: int, labels: list[int], masks: list[int]) -> "CompletedTree":
+        tree = cls.__new__(cls)
+        tree.__dict__.update(arity=arity, _root=None, _preorder=(labels, masks))
+        return tree
+
+    @property
+    def root(self) -> Node:
+        """The root node, built from the preorder on first read and kept."""
+        root = self._root
+        if root is None:
+            # two threads may each build one; they are equal, and one is kept
+            root = self.__dict__["_root"] = _build(self.arity, *self._preorder)
+        return root
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"CompletedTree(arity={self.arity!r}, root={self.root!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._preorder is not None and other._preorder is not None:
+            # equal masks at one arity are equal slot occupancies
+            return self.arity == other.arity and self._preorder == other._preorder
+        return (self.arity, self.root) == (other.arity, other.root)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        if self._preorder is None:
+            return hash((self.arity, self.root))
+        k = self.arity
+        labels, masks = self._preorder
+        occupancy = {m: tuple(2 if m >> i & 1 else 1 for i in range(k)) for m in set(masks)}
+        return hash((k, _Hashed(_fold(zip(labels, map(occupancy.get, masks))))))
 
     @cached_property
     def _counts(self) -> tuple[int, int, int, int]:
-        return _tally(self.root)
+        if self._preorder is None:
+            return _tally(self.root)
+        labels, masks = self._preorder
+        return self.size, len(labels), max(labels), _preorder_depth(masks)
 
     @property
     def size(self) -> int:
         """Number of bullet-leaves."""
-        return self._counts[0]
+        if self._preorder is None:
+            return self._counts[0]
+        # every node but the root fills one of the arity * nodes slots
+        return (self.arity - 1) * len(self._preorder[0]) + 1
 
     @property
     def max_label(self) -> int:
-        return self._counts[2]
+        return self._counts[2] if self._preorder is None else max(self._preorder[0])
 
 
 @dataclass(frozen=True)
@@ -231,6 +310,32 @@ def _tally(root: Node) -> tuple[int, int, int, int]:
     return bullets, nodes, top, depth
 
 
+def _preorder_depth(masks: list[int]) -> int:
+    """Labeled nodes on the longest root-to-bullet path, from the preorder child masks."""
+    depth = 0
+    below = [1]  # the depth of each announced node not yet read
+    pop = below.pop
+    for mask in masks:
+        d = pop()
+        if mask:
+            below += [d + 1] * mask.bit_count()
+        elif d > depth:  # the deepest node has no child
+            depth = d
+    return depth
+
+
+def _labels_ok(labels: list[int], masks: list[int]) -> bool:
+    """Whether the preorder's labels are at least 1, exceed their parents' and fill 1..max."""
+    above = [0]  # the parent's label of each announced node not yet read; the root's is 0
+    pop = above.pop
+    for label, mask in zip(labels, masks):
+        if label <= pop():
+            return False
+        if mask:
+            above += [label] * mask.bit_count()
+    return len(set(labels)) == max(labels)
+
+
 def bullet_positions(root: Node) -> list[Path]:
     """Paths of all bullet-leaves, in preorder (the canonical leaf order).
 
@@ -268,12 +373,17 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
     but ``None``, ``BULLET`` or a ``Node``) are reported as kind
     ``"malformed"``, distinct from the label-constraint violations.
 
-    The nodes are checked in preorder on a stack of bare nodes; the first
-    violation is reported, and only then is its node's path built, by a
-    second preorder walk that stops at that node.
+    A completed tree that holds its preorder at this arity is checked on
+    those lists in one walk, and its nodes are built only to word a
+    violation.  Otherwise the nodes are checked in preorder on a stack of
+    bare nodes; the first violation is reported, and only then is its
+    node's path built, by a second preorder walk that stops at that node.
     """
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
+    preorder = getattr(tree, "_preorder", None)
+    if preorder is not None and tree.arity == arity and _labels_ok(*preorder):
+        return ValidationResult(True)
     root = tree.root
     labels: set[int] = set()
     stack = [root]
@@ -341,7 +451,7 @@ def complete(tree: LabeledTree, arity: int) -> CompletedTree:
     for label, occupancy in _stream(tree.root):
         labels.append(label)
         masks.append(sum(1 << i for i, x in enumerate(occupancy) if x == 2))
-    return CompletedTree(arity, _build(arity, labels, masks))
+    return CompletedTree._of_preorder(arity, labels, masks)
 
 
 def _build(k: int, labels: list[int], masks: list[int]) -> Node:
@@ -367,7 +477,7 @@ def root_tree(arity: int) -> CompletedTree:
     """The smallest completed tree: one node labeled 1, all slots bullets."""
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
-    return CompletedTree(arity, Node(1, (BULLET,) * arity))
+    return CompletedTree._of_preorder(arity, [1], [0])
 
 
 class GrowingTree:
@@ -377,7 +487,8 @@ class GrowingTree:
     and k child ids, -1 marking a bullet.  ``leaves`` lists the bullets as
     (node, slot) pairs in preorder, the order of ``bullet_positions``.  An
     ``evolution_step`` on it takes preorder leaf indices instead of paths
-    and costs O(size); ``freeze`` builds the immutable tree once.
+    and costs O(size); ``freeze`` reads the immutable tree's preorder off
+    it in one walk.
 
     The sampler grows a state to its final size.  The exhaustive walk
     (``sampler._walk_histories``) also undoes steps on it by ``_undo_flat``,
@@ -405,23 +516,34 @@ class GrowingTree:
         return self.labels[-1]
 
     def freeze(self) -> CompletedTree:
-        """The immutable tree, built bottom-up without recursion.
+        """The immutable tree; its nodes are built only if its ``root`` is read."""
+        numbers = _flat_preorder(self)
+        return CompletedTree._of_preorder(self.arity, numbers[1::2], numbers[2::2])
 
-        Children are created after their parents, so they have larger ids
-        and are built first when ids are visited in descending order.
-        """
-        labels, children = self.labels, self.children
-        # nodes without children share one all-bullet slot tuple
-        childless, bullets = [-1] * self.arity, (BULLET,) * self.arity
-        nodes: list = [None] * len(labels)
-        for v in range(len(labels) - 1, -1, -1):
-            kids = children[v]
-            if kids == childless:
-                slots = bullets
-            else:
-                slots = tuple([BULLET if c < 0 else nodes[c] for c in kids])
-            nodes[v] = Node(labels[v], slots)
-        return CompletedTree(self.arity, nodes[0])
+
+def _flat_preorder(t: GrowingTree) -> list[int]:
+    """The arity, then each node's label and child mask in preorder, by one walk of a flat state.
+
+    The numbers are those of the canonical encoding, in its order.
+    """
+    labels, children = t.labels, t.children
+    numbers = [t.arity]
+    add = numbers.append
+    stack = [0]
+    pop, push = stack.pop, stack.append
+    backwards = range(t.arity - 1, -1, -1)
+    while stack:
+        v = pop()
+        add(labels[v])
+        kids = children[v]
+        mask = 0
+        for i in backwards:
+            c = kids[i]
+            if c >= 0:
+                mask |= 1 << i
+                push(c)
+        add(mask)
+    return numbers
 
 
 def _grow_flat(t: GrowingTree, leaf_indices, next_label: int) -> GrowingTree:
@@ -563,6 +685,8 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     ValueError: such a node would be written as another tree's bytes or as
     bytes the decoder refuses, or would fail with a bare TypeError.
     """
+    if t._preorder is not None:
+        return _write_preorder(t.arity, *t._preorder)
     k = t.arity
     mask_len = (k + 7) // 8
     out = bytearray()
@@ -597,35 +721,30 @@ def canonical_encoding(t: CompletedTree) -> bytes:
     return bytes(out)
 
 
-def _encode_flat(t: GrowingTree) -> bytes:
-    """``canonical_encoding(t.freeze())``, written from the flat state."""
-    k = t.arity
+def _write_preorder(k: int, labels: list[int], masks: list[int]) -> bytes:
+    """The canonical encoding of the arity-k tree with these preorder labels and child masks."""
     mask_len = (k + 7) // 8
-    labels, children = t.labels, t.children
     out = bytearray()
     _write_varint(out, k)
-    stack = [0]
-    pop, push = stack.pop, stack.append
-    backwards = range(k - 1, -1, -1)
-    while stack:
-        v = pop()
-        label = labels[v]
+    append = out.append
+    for label, mask in zip(labels, masks):
         if label < 0x80:  # a one-byte varint
-            out.append(label)
+            append(label)
         else:
             _write_varint(out, label)
-        kids = children[v]
-        mask = 0
-        for i in backwards:
-            c = kids[i]
-            if c >= 0:
-                mask |= 1 << i
-                push(c)
         if mask_len == 1:
-            out.append(mask)
+            append(mask)
         else:
             out += mask.to_bytes(mask_len, "little")
     return bytes(out)
+
+
+def _encode_flat(t: GrowingTree) -> bytes:
+    """``canonical_encoding(t.freeze())``, written from the flat state."""
+    numbers = _flat_preorder(t)
+    if t.arity <= 8 and max(numbers) < 0x80:  # each number is one byte
+        return bytes(numbers)
+    return _write_preorder(t.arity, numbers[1::2], numbers[2::2])
 
 
 def decode_encoding(data: bytes) -> CompletedTree:
@@ -633,6 +752,10 @@ def decode_encoding(data: bytes) -> CompletedTree:
 
     Raises ``ValueError`` for a malformed byte string and for one that
     encodes a tree violating the weakly increasing label constraints.
+    The parsed labels and masks are checked by ``validate``'s check of a
+    preorder: each label must exceed its parent's (the root's counts as
+    0), and together they must fill 1..max.  The tree keeps the lists; its
+    nodes are built only for ``validate`` to word a refusal.
     """
     k, pos = _read_varint(data, 0)
     if k < 2:
@@ -664,10 +787,9 @@ def decode_encoding(data: bytes) -> CompletedTree:
         pending += mask.bit_count() - 1
     if pos != end:
         raise ValueError(f"{end - pos} trailing bytes after encoding")
-    tree = CompletedTree(k, _build(k, labels, masks))
-    result = validate(tree, k)
-    if not result:
-        raise ValueError(f"encoded tree is not weakly increasing: {result.message}")
+    tree = CompletedTree._of_preorder(k, labels, masks)
+    if not _labels_ok(labels, masks):
+        raise ValueError(f"encoded tree is not weakly increasing: {validate(tree, k).message}")
     return tree
 
 

@@ -221,6 +221,15 @@ def test_sample_zero_count_sizes_rejected():
         sample_uniform(ctx2, 1)
 
 
+@pytest.mark.parametrize("k, top, n", [(2, 20, 30), (3, 21, 23)])
+def test_a_size_beyond_the_table_is_refused_by_name(k, top, n):
+    ctx = SamplerContext.create(k, top, seed=1)
+    with pytest.raises(ValueError) as info:
+        sample_uniform(ctx, n)
+    assert str(info.value) == f"size {n} is beyond this context's table (sizes up to {top})"
+    assert sample_uniform(ctx, top).size == top
+
+
 def test_expansion_weights_normalize_exactly():
     ctx = SamplerContext.create(2, 40, seed=0)
     for m in range(3, 41):

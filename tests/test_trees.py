@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 import re
 import time
 
@@ -24,6 +25,7 @@ from witrees.trees import (
     render_indented,
     root_tree,
     validate,
+    _build,
     _encode_flat,
     _write_varint,
 )
@@ -537,6 +539,18 @@ def test_flat_encoding_equals_the_frozen_tree_encoding(k, top):
             assert decode_encoding(data) == tree
 
 
+@pytest.mark.parametrize("k, labels", [(9, 3), (2, 200), (3, 140)])
+def test_flat_encoding_of_wide_nodes_and_multibyte_labels(k, labels):
+    # masks of two bytes, and labels of two-byte varints, take the general writer
+    state = GrowingTree(k)
+    for label in range(2, labels + 1):
+        evolution_step(state, [label % 2], label)
+    tree = state.freeze()
+    data = canonical_encoding(CompletedTree(k, tree.root))
+    assert _encode_flat(state) == canonical_encoding(tree) == data
+    assert decode_encoding(data) == tree
+
+
 def test_node_equality_hash_and_repr_follow_the_structure():
     from witrees.sampler import enumerate_all
 
@@ -576,6 +590,91 @@ def test_decoded_completed_and_sampled_trees_are_equal_and_hash_equal(k, n):
         assert sampled.root is not decoded.root and sampled.root is not completed.root
         assert hash(sampled.root) == hash(decoded.root) == hash(completed.root)
         assert hash(sampled) == hash(decoded) == hash(completed)
+
+
+def preorder_trees():
+    """Sampled (k = 2, 3, 5), decoded, completed and enumerated trees; each holds its preorder."""
+    from witrees.sampler import SamplerContext, enumerate_all, sample_uniform
+
+    for k, n in [(2, 60), (3, 61), (5, 41)]:
+        ctx = SamplerContext.create(k, n, 3)
+        for _ in range(3):
+            t = sample_uniform(ctx, n)
+            yield t
+            yield decode_encoding(canonical_encoding(t))
+            yield complete(strip(t), k)
+    for k, n in [(2, 5), (3, 7)]:
+        yield from enumerate_all(k, n)
+    yield root_tree(4)
+
+
+def test_the_preorder_readers_agree_with_the_node_walks():
+    from witrees.sampler import tree_statistics
+
+    trees = list(preorder_trees())
+    twins = [CompletedTree(t.arity, t.root) for t in trees]  # every reader walks these nodes
+    for t, twin in zip(trees, twins):
+        assert t._preorder is not None and twin._preorder is None
+        assert canonical_encoding(t) == canonical_encoding(twin)
+        for arity in (t.arity - 1, t.arity, t.arity + 1):
+            assert outcome(validate, t, arity) == outcome(validate, twin, arity)
+        assert (t.size, t.max_label) == (twin.size, twin.max_label)
+        assert tree_statistics(t) == tree_statistics(twin)
+        assert hash(t) == hash(twin) == hash((t.arity, t.root))
+    # equality on the lists, on the nodes and across the two, for equal and unequal trees
+    data = [canonical_encoding(t) for t in trees]
+    for i, t in enumerate(trees):
+        same = [d == data[i] for d in data]
+        assert [t == u for u in trees] == same
+        assert [t == u for u in twins] == same == [u == t for u in twins]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_validate_words_a_bad_preorder_as_the_node_walk_does(k):
+    # enumerated shapes with random labels, mostly ones that decode_encoding refuses
+    from witrees.sampler import enumerate_all
+
+    rng = random.Random(k)
+    for shape in enumerate_all(k, 1 + 4 * (k - 1)):
+        masks = shape._preorder[1]
+        for _ in range(10):
+            labels = [rng.randrange(0, 5) for _ in masks]
+            t = CompletedTree._of_preorder(k, labels, masks)
+            assert validate(t, k) == validate(CompletedTree(k, _build(k, labels, masks)), k)
+
+
+def test_a_lazily_built_root_is_kept_and_a_tree_stays_frozen():
+    from dataclasses import FrozenInstanceError
+
+    t = decode_encoding(canonical_encoding(evolution_step(root_tree(2), [(1,)], 2)))
+    assert t.root is t.root == Node(1, (BULLET, Node(2, (BULLET, BULLET))))
+    assert repr(t) == f"CompletedTree(arity=2, root={t.root!r})"
+    for attempt in (lambda: setattr(t, "root", None), lambda: setattr(t, "arity", 3),
+                    lambda: delattr(t, "root")):
+        with pytest.raises(FrozenInstanceError):
+            attempt()
+
+
+def test_sampling_and_the_round_trip_build_no_node(monkeypatch):
+    from witrees.sampler import SamplerContext, sample_uniform
+
+    ctx = SamplerContext.create(2, 80, 5)
+    built = []
+    init = Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counted)
+    for _ in range(5):
+        t = sample_uniform(ctx, 80)
+        assert validate(t, 2) and t.size == 80
+        data = canonical_encoding(t)
+        assert canonical_encoding(decode_encoding(data)) == data
+    assert built == []
+    t.root  # the counter sees nodes that are built
+    assert len(built) == 79
 
 
 def test_decode_rejects_garbage():
