@@ -525,9 +525,9 @@ def _flat_preorder(t: GrowingTree) -> list[int]:
     """The arity, then each node's label and child mask in preorder, by one walk of a flat state.
 
     The numbers are those of the canonical encoding, in its order.  The
-    list is made at its final length: grown by appends, it was reallocated
-    several times for each of the brute walk's trees, which raised the
-    walk's peak resident set by a 256 KiB arena.
+    list is made at its final length, so the walk never reallocates it:
+    the brute walk encodes every tree through it, and appends that grow
+    it raise that walk's peak resident set by a 256 KiB arena.
     """
     labels, children = t.labels, t.children
     numbers = [t.arity] * (2 * len(labels) + 1)
