@@ -535,7 +535,7 @@ def _phi_reg(s: mp.mpf) -> mp.mpf:
     return (ln2 - 1) * t_sum / ew - ln2 * mp.power(2, -w) / ew
 
 
-def _neg_log_g_reg(w: mp.mpf, ew: mp.mpf | None = None) -> mp.mpf:
+def _neg_log_g_reg(w: mp.mpf, ew: mp.mpf) -> mp.mpf:
     """Int_0^{1-w} phi_reg(s) ds in closed form, so g_reg(1-w) = exp(-this).
 
     Integrating phi by parts gives, with t = 1 - w,
@@ -552,11 +552,9 @@ def _neg_log_g_reg(w: mp.mpf, ew: mp.mpf | None = None) -> mp.mpf:
 
     with the polylogarithm argument in [0, 1/2] for w in [0, 1].
     The dilogarithm is ``_li2_one_minus_pow2(w)``, a fixed-point series.
-    ``ew`` is E(w) when the caller already has it.
+    ``ew`` is E(w), ``_expm1_ratio(w)``, which each caller also needs.
     """
     ln2 = mp.ln(2)
-    if ew is None:
-        ew = _expm1_ratio(w)
     return (
         (1 - ln2) * mp.log(2 * ln2 * ew) + ln2 ** 2 / 2 - mp.pi ** 2 / 12
         + _li2_one_minus_pow2(w)
@@ -628,7 +626,8 @@ def g_regular(t, precision: Precision = Precision()) -> mp.mpf:
             raise ValueError(f"g_regular needs t in [0, 1], got t = {t}")
         if t == 0:
             return mp.mpf(1)
-        return mp.exp(-_neg_log_g_reg(1 - t))
+        w = 1 - t
+        return mp.exp(-_neg_log_g_reg(w, _expm1_ratio(w)))
 
 
 def _w_prime(a: ScaledSequence):

@@ -49,8 +49,11 @@ DEFAULT_TREE_GUARD = 2_000_000
 #: the CLI's error names the flag and the largest size that fits.
 MAX_BUILD_BITS = 2**33
 
-#: Bits held per slot of an enumerated tree (tracemalloc over the 15,121
-#: frozen trees of size 8: about 1,000).
+#: Bits held per slot of an enumerated tree.  tracemalloc over the 15,121
+#: frozen trees of size 8 reads about 530 as ``enumerate_all`` returns them
+#: (preorder lists only) and about 1,440 once every tree's ``root`` is read,
+#: so the guard bounds the trees as built; a caller that then reads every
+#: root can hold up to 1.4 times the estimate.
 TREE_SLOT_BITS = 1024
 
 ROUTE_RECURRENCE = "recurrence"
@@ -120,6 +123,11 @@ class CountTable:
     def offset(self) -> int:
         """Table index minus H-index: 1 for kind B, 0 for kind H."""
         return 1 if self.kind == "B" else 0
+
+    @property
+    def max_size(self) -> int:
+        """Largest size the table covers, that of its last H-index."""
+        return 1 + (self.k - 1) * (self.max_index - self.offset)
 
     @property
     def h_values(self) -> tuple[int, ...]:

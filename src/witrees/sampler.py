@@ -203,17 +203,16 @@ def _subset_indices(rng: random.Random, population: int, take: int) -> list[int]
 def sample_uniform(ctx: SamplerContext, n: int) -> CompletedTree:
     """Draw a tree of size ``n`` exactly uniformly at random.
 
-    Raises ``ValueError`` when no tree of that size exists (off-lattice
-    k-ary sizes, or sizes below the root tree), and when the size is
-    beyond the context's table.
+    Raises ``ValueError`` when the size is beyond the context's table, and
+    when no tree of that size exists (off-lattice k-ary sizes, or sizes
+    below the root tree).
     """
-    k = ctx.k
-    if n < k or (n - 1) % (k - 1):
+    k, table = ctx.k, ctx.table
+    if n > table.max_size:
+        raise ValueError(f"size {n} is beyond this context's table (sizes up to {table.max_size})")
+    if table.g(n) == 0:
         raise ValueError(f"no {k}-ary tree has size {n}")
-    H = ctx.table.h_values
-    largest = 1 + (k - 1) * (len(H) - 1)
-    if n > largest:
-        raise ValueError(f"size {n} is beyond this context's table (sizes up to {largest})")
+    H = table.h_values
 
     # walk the recurrence down from the H-index of size n to 1, drawing per
     # level the first s whose cumulative weight C(1+(h-s)(k-1), s) H[h-s]

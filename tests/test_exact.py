@@ -49,6 +49,15 @@ def test_table_bounds_and_seed_validation(btab300):
         CountTable(2, "X", "recurrence", (0, 0, 1))
 
 
+@pytest.mark.parametrize("k, n", [(2, 13), (3, 21), (3, 22), (5, 40)])
+def test_max_size_is_the_largest_size_with_a_count(k, n):
+    tab = count_binary_upto(n) if k == 2 else count_kary_upto(k, exact.h_index(k, n))
+    top = tab.max_size
+    assert top <= n < top + k - 1 and tab.g(top) > 0
+    with pytest.raises(ValueError, match="outside computed range"):
+        tab.g(top + k - 1)  # the next size on the lattice
+
+
 # ---------------------------------------------------------------- functional equation
 
 
