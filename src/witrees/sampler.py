@@ -259,5 +259,4 @@ def tree_statistics(t: CompletedTree) -> TreeStatistics:
     Depth counts labeled nodes on the longest root-to-bullet path, so the
     one-node root tree has depth 1.
     """
-    size, node_count, max_label, depth = t._counts
-    return TreeStatistics(size, node_count, max(0, max_label), depth)
+    return TreeStatistics(*t._counts)

@@ -27,15 +27,17 @@ k fresh bullet-leaves.  Every completed tree is produced by exactly one
 sequence of such steps starting from the one-node root tree, which is what
 makes counting and uniform sampling by recurrence possible.
 
-A completed tree that the package makes holds its canonical preorder,
-the nodes' labels and child masks that the byte encoding writes.
-``GrowingTree.freeze`` reads them off the flat state in one walk, and
-``decode_encoding`` and ``complete`` keep the lists they read.  Every job
-on such a tree reads those lists; its ``Node`` tree is built, bottom-up
-by ``_build``, only when its ``root`` is read.  A tree given by its
-nodes, as ``LabeledTree(root)`` or ``CompletedTree(arity, root)``, is
-walked node by node; ``complete`` and ``Node``'s ``==`` and ``hash``
-read one preorder stream of (label, slot occupancy) pairs.
+A completed tree has one form that its readers read: its canonical
+preorder, the nodes' labels and child masks that the byte encoding
+writes.  ``GrowingTree.freeze`` reads them off the flat state in one
+walk, and ``decode_encoding`` and ``complete`` keep the lists they read;
+such a tree's ``Node`` tree is built, bottom-up by ``_build``, only when
+its ``root`` is read.  A tree given as ``CompletedTree(arity, root)``
+derives the lists from its nodes, in one walk, when a reader first needs
+them.  ``==``, ``hash`` and the two renderings read one preorder stream
+of (label, slot occupancy) pairs, ``_pairs``: from the lists when a tree
+holds them, else from the nodes, as for a ``LabeledTree``; ``complete``
+and ``Node``'s ``==`` and ``hash`` read the same stream of nodes.
 
 All tree values are immutable; operations return new trees.  The one
 exception is ``GrowingTree``, a mutable flat state.  The exact sampler
@@ -97,6 +99,17 @@ def _stream(root: "Node") -> Iterator[tuple[int, tuple[int, ...]]]:
                           else _foreign_slot(x) for x in slots)
         yield node.label, occupancy
         stack.extend(x for x in reversed(slots) if isinstance(x, Node))
+
+
+def _pairs(tree: Union["LabeledTree", "CompletedTree"]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """A tree's ``_stream``: from its child masks when it holds its preorder, else from its nodes."""
+    preorder = tree.__dict__.get("_preorder")
+    if preorder is None:
+        return _stream(tree.root)
+    k = tree.arity
+    labels, masks = preorder
+    occupancy = {m: tuple(2 if m >> i & 1 else 1 for i in range(k)) for m in set(masks)}
+    return zip(labels, map(occupancy.get, masks))
 
 
 def _fold(stream) -> int:
@@ -170,21 +183,25 @@ class LabeledTree:
 class CompletedTree:
     """A weakly increasing tree with all empty slots filled by bullets.
 
-    A tree that the package makes (``GrowingTree.freeze``,
-    ``decode_encoding``, ``complete``, ``root_tree``) holds its canonical
-    preorder: its nodes' labels and child masks (bit i set when slot i
-    holds a child), the two lists that ``canonical_encoding`` writes.
-    ``validate``, ``canonical_encoding``, ``size``, ``max_label``,
-    ``tree_statistics``, ``==`` and ``hash`` read them in one walk, and
-    ``root`` builds the nodes from them, by ``_build``, when it is first
-    read.  A tree made as ``CompletedTree(arity, root)`` has no preorder,
-    and each of those readers walks its nodes.  Equality, hashes and
-    ``repr`` are those of a frozen dataclass of ``arity`` and ``root``,
-    and so is the refusal to set or delete an attribute.
+    A tree is fixed by its canonical preorder: its nodes' labels and child
+    masks (bit i set when slot i holds a child), the two lists that
+    ``canonical_encoding`` writes.  A tree that the package makes
+    (``GrowingTree.freeze``, ``decode_encoding``, ``complete``,
+    ``root_tree``) holds them from the start, and ``root`` builds its
+    nodes, by ``_build``, only when it is first read.  A tree made as
+    ``CompletedTree(arity, root)`` derives them from its nodes, in one
+    walk, when a reader first asks; that walk refuses a node or slot that
+    ``canonical_encoding`` could not write.  ``size``, ``max_label``,
+    ``tree_statistics`` and ``canonical_encoding`` read the lists;
+    ``==``, ``hash`` and the renderers read the one stream of ``_pairs``,
+    which takes the nodes of a tree whose lists are not yet held.
+    Equality, hashes and ``repr`` are those of a frozen dataclass of
+    ``arity`` and ``root``, and so is the refusal to set or delete an
+    attribute.
     """
 
     def __init__(self, arity: int, root: Node) -> None:
-        self.__dict__.update(arity=arity, _root=root, _preorder=None)
+        self.__dict__.update(arity=arity, _root=root)
 
     @classmethod
     def _of_preorder(cls, arity: int, labels: list[int], masks: list[int]) -> "CompletedTree":
@@ -213,41 +230,64 @@ class CompletedTree:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._preorder is not None and other._preorder is not None:
-            # equal masks at one arity are equal slot occupancies
-            return self.arity == other.arity and self._preorder == other._preorder
-        return (self.arity, self.root) == (other.arity, other.root)
+        return self.arity == other.arity and all(map(eq, _pairs(self), _pairs(other)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        if self._preorder is None:
-            return hash((self.arity, self.root))
+        # hash((arity, root)): a node hashes to the fold of its stream
+        return hash((self.arity, _Hashed(_fold(_pairs(self)))))
+
+    @cached_property
+    def _preorder(self) -> tuple[list[int], list[int]]:
+        """The labels and child masks in preorder, derived from the nodes given.
+
+        One walk on an explicit stack.  A node without ``arity`` slots or
+        with a label that is not an int of at least 1, and a slot that is
+        neither a bullet nor a node, raise ValueError: such a node would be
+        written as another tree's bytes or as bytes the decoder refuses.
+        """
         k = self.arity
-        labels, masks = self._preorder
-        occupancy = {m: tuple(2 if m >> i & 1 else 1 for i in range(k)) for m in set(masks)}
-        return hash((k, _Hashed(_fold(zip(labels, map(occupancy.get, masks))))))
+        labels: list[int] = []
+        masks: list[int] = []
+        stack = [self._root]
+        pop, push = stack.pop, stack.append
+        backwards = range(k - 1, -1, -1)
+        while stack:
+            node = pop()
+            label, slots = node.label, node.slots
+            if len(slots) != k:
+                raise ValueError(f"node has {len(slots)} slots, expected {k}")
+            if not isinstance(label, int) or label < 1:
+                raise ValueError(f"node has invalid label {label!r}")
+            mask = 0
+            for i in backwards:
+                slot = slots[i]
+                if isinstance(slot, Node):
+                    mask |= 1 << i
+                    push(slot)
+                elif slot is not BULLET:
+                    _foreign_slot(slot, "a node or a bullet")
+            labels.append(label)
+            masks.append(mask)
+        return labels, masks
 
     @cached_property
     def _counts(self) -> tuple[int, int, int, int]:
-        if self._preorder is None:
-            return _tally(self.root)
         labels, masks = self._preorder
         return self.size, len(labels), max(labels), _preorder_depth(masks)
 
     @property
     def size(self) -> int:
         """Number of bullet-leaves."""
-        if self._preorder is None:
-            return self._counts[0]
         # every node but the root fills one of the arity * nodes slots
         return (self.arity - 1) * len(self._preorder[0]) + 1
 
     @property
     def max_label(self) -> int:
-        return self._counts[2] if self._preorder is None else max(self._preorder[0])
+        return max(self._preorder[0])
 
 
 @dataclass(frozen=True)
@@ -280,34 +320,6 @@ def iter_nodes(root: Node) -> Iterator[tuple[Path, Node]]:
             child = node.slots[i]
             if isinstance(child, Node):
                 stack.append((path + (i,), child))
-
-
-def _tally(root: Node) -> tuple[int, int, int, int]:
-    """(bullets, labeled nodes, maximal label, depth) of a subtree.
-
-    One walk, level by level, so the depth is the number of levels and no
-    node needs its path or depth stored.  A slot that is neither a bullet
-    nor a node raises ValueError.
-    """
-    bullets = nodes = depth = 0
-    top = root.label
-    level = [root]
-    while level:
-        depth += 1
-        nodes += len(level)
-        below = []
-        for node in level:
-            if node.label > top:
-                top = node.label
-            for slot in node.slots:
-                if slot is BULLET:
-                    bullets += 1
-                elif isinstance(slot, Node):
-                    below.append(slot)
-                else:
-                    _foreign_slot(slot, "a node or a bullet")
-        level = below
-    return bullets, nodes, top, depth
 
 
 def _preorder_depth(masks: list[int]) -> int:
@@ -373,15 +385,17 @@ def validate(tree: LabeledTree, arity: int) -> ValidationResult:
     but ``None``, ``BULLET`` or a ``Node``) are reported as kind
     ``"malformed"``, distinct from the label-constraint violations.
 
-    A completed tree that holds its preorder at this arity is checked on
-    those lists in one walk, and its nodes are built only to word a
-    violation.  Otherwise the nodes are checked in preorder on a stack of
-    bare nodes; the first violation is reported, and only then is its
-    node's path built, by a second preorder walk that stops at that node.
+    A completed tree that already holds its preorder at this arity is
+    checked on those lists in one walk, and its nodes are built only to
+    word a violation.  ``validate`` never derives the lists, whose walk
+    would refuse a malformed node without its path.  Otherwise the nodes
+    are checked in preorder on a stack of bare nodes; the first violation
+    is reported, and only then is its node's path built, by a second
+    preorder walk that stops at that node.
     """
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
-    preorder = getattr(tree, "_preorder", None)
+    preorder = tree.__dict__.get("_preorder")
     if preorder is not None and tree.arity == arity and _labels_ok(*preorder):
         return ValidationResult(True)
     root = tree.root
@@ -673,56 +687,14 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _malformed_node(node: Node, arity: int) -> NoReturn:
-    """Raise ``validate``'s one-line ValueError, without the path, for a node
-    with a wrong slot count or a label that is not an int of at least 1."""
-    if len(node.slots) != arity:
-        raise ValueError(f"node has {len(node.slots)} slots, expected {arity}")
-    raise ValueError(f"node has invalid label {node.label!r}")
-
-
 def canonical_encoding(t: CompletedTree) -> bytes:
     """Serialize a completed tree to its canonical byte string.
 
     A node without ``t.arity`` slots or with a label that is not an int of
     at least 1, and a slot that is neither a bullet nor a node, raise
-    ValueError: such a node would be written as another tree's bytes or as
-    bytes the decoder refuses, or would fail with a bare TypeError.
+    ValueError (see ``CompletedTree._preorder``).
     """
-    if t._preorder is not None:
-        return _write_preorder(t.arity, *t._preorder)
-    k = t.arity
-    mask_len = (k + 7) // 8
-    out = bytearray()
-    _write_varint(out, k)
-    stack = [t.root]
-    pop, push = stack.pop, stack.append
-    try:
-        while stack:
-            node = pop()
-            label, slots = node.label, node.slots
-            if len(slots) != k or label < 1:
-                _malformed_node(node, k)
-            if label < 0x80:  # a one-byte varint
-                out.append(label)
-            else:
-                _write_varint(out, label)
-            mask = 0
-            i = len(slots)
-            for slot in reversed(slots):
-                i -= 1
-                if isinstance(slot, Node):
-                    mask |= 1 << i
-                    push(slot)
-                elif slot is not BULLET:
-                    _foreign_slot(slot, "a node or a bullet")
-            if mask_len == 1:
-                out.append(mask)
-            else:
-                out += mask.to_bytes(mask_len, "little")
-    except TypeError:  # a label that is not an int
-        _malformed_node(node, k)
-    return bytes(out)
+    return _write_preorder(t.arity, *t._preorder)
 
 
 def _write_preorder(k: int, labels: list[int], masks: list[int]) -> bytes:
@@ -815,31 +787,37 @@ def render_indented(tree: Union[LabeledTree, CompletedTree]) -> str:
     ``BULLET`` or a ``Node`` raises ValueError.
     """
     lines = []
-    stack: list[tuple[int, int, Slot]] = [(0, -1, tree.root)]  # (depth, slot index, content)
-    while stack:
-        depth, i, slot = stack.pop()
-        head = f"{'  ' * depth}{i}: " if depth else ""
-        if isinstance(slot, Node):
-            lines.append(f"{head}{slot.label}")
-            for j in range(len(slot.slots) - 1, -1, -1):
-                stack.append((depth + 1, j, slot.slots[j]))
-        elif slot is BULLET:
-            lines.append(f"{head}*")
-        elif slot is not None:
-            _foreign_slot(slot)
+    # (line head, indent of its slots) of each announced node not yet read,
+    # and the finished line of each bullet that follows a child's subtree
+    todo: list[Union[str, tuple[str, str]]] = [("", "  ")]
+    pop, push = todo.pop, todo.append
+    for label, occupancy in _pairs(tree):
+        head, pad = pop()
+        lines.append(f"{head}{label}")
+        for i in range(len(occupancy) - 1, -1, -1):
+            if occupancy[i] == 2:
+                push((f"{pad}{i}: ", pad + "  "))
+            elif occupancy[i]:
+                push(f"{pad}{i}: *")
+        while todo and todo[-1].__class__ is str:
+            lines.append(pop())
     return "\n".join(lines) + "\n"
 
 
-def _path_str(path: Path) -> str:
-    return "r" if not path else "r." + ".".join(str(i) for i in path)
-
-
 def render_graph(tree: Union[LabeledTree, CompletedTree]) -> str:
-    """One labeled node per line: ``parent_path slot label`` ('-' for the root)."""
+    """One labeled node per line: ``parent_path slot label`` ('-' for the root).
+
+    A path is ``r`` for the root and ``r.i.j`` for slot j of its child in
+    slot i.  A slot holding anything but ``None``, ``BULLET`` or a
+    ``Node`` raises ValueError.
+    """
     lines = []
-    for path, node in iter_nodes(tree.root):
-        if not path:
-            lines.append(f"- - {node.label}")
-        else:
-            lines.append(f"{_path_str(path[:-1])} {path[-1]} {node.label}")
+    todo = [("- -", "r")]  # (line head, path) of each announced node not yet read
+    pop, push = todo.pop, todo.append
+    for label, occupancy in _pairs(tree):
+        head, path = pop()
+        lines.append(f"{head} {label}")
+        for i in range(len(occupancy) - 1, -1, -1):
+            if occupancy[i] == 2:
+                push((f"{path} {i}", f"{path}.{i}"))
     return "\n".join(lines) + "\n"

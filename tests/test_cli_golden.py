@@ -54,6 +54,10 @@ COMMANDS = [
     # the two rendered sample formats, each walking the whole tree
     "sample --n 64 --count 2 --seed 5 --format graph",
     "sample --n 64 --count 2 --seed 5 --format text",
+    # rendered samples at k >= 3; k = 9 writes two mask bytes a node
+    "sample --k 3 --n 41 --count 3 --seed 5 --format text",
+    "sample --k 3 --n 41 --count 3 --seed 5 --format graph",
+    "sample --k 9 --n 257 --count 2 --seed 5 --format graph",
     # label-stratified counts B_{m,n}
     "table --kind Bmn --upto 60 --out F",
     "table --kind Bmn --upto 200 --out F",

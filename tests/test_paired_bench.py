@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
@@ -34,3 +35,33 @@ def test_a_printed_line_counts_lower_pairs_and_the_other_sides_spread():
     assert paired_bench.describe("wall_s", m) == (
         "wall_s: ratio 0.700 [0.600, 0.800] (97.9%); lower in 2/3 pairs; "
         "this 0.7, against 1 (IQR 0)")
+
+
+def test_both_sides_run_from_copies_of_one_path_length_that_write_no_bytecode(tmp_path):
+    # two checkouts at different depths, each with stale bytecode
+    checkouts = []
+    for name in ("a", os.path.join("deeper", "checkout")):
+        root = tmp_path / name
+        (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (root / "src" / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"stale")
+        (root / "src" / "pkg" / "__init__.py").write_text("")
+        (root / "src" / "pkg" / "mod.py").write_text("VALUE = 7\n")
+        (root / "perfbench" / "__pycache__").mkdir(parents=True)
+        (root / "perfbench" / "workloads.py").write_text(
+            "import os, sys\n"
+            "sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), '..', 'src'))\n"
+            "from pkg import mod\n"
+            "print(mod.VALUE, os.path.abspath(__file__))\n")
+        (root / "tests" / "fixtures").mkdir(parents=True)
+        (root / "tests" / "fixtures" / "data.txt").write_text("1\n")
+        checkouts.append(str(root))
+    parent = tmp_path / "copies"
+    copies = paired_bench.stage(tuple(checkouts), str(parent))
+    workers = []
+    for copy in copies:
+        out = paired_bench.spawn(copy, "sampling", 1)[1].split()
+        assert out[0] == "7" and out[1].startswith(copy + os.sep)
+        workers.append(out[1])
+        assert os.path.isfile(os.path.join(copy, "tests", "fixtures", "data.txt"))
+    assert workers[0] != workers[1] and len(workers[0]) == len(workers[1])
+    assert not [d for d, _, _ in os.walk(parent) if os.path.basename(d) == "__pycache__"]

@@ -117,7 +117,8 @@ def test_readers_that_skip_validate_refuse_a_foreign_slot(foreign):
     for root in (Node(1, (foreign, BULLET)), deep):
         t, twin = CompletedTree(2, root), Node(1, root.slots)
         for read in (lambda: t.size, lambda: t.max_label, lambda: canonical_encoding(t),
-                     lambda: render_indented(t), lambda: hash(twin), lambda: root == twin):
+                     lambda: render_indented(t), lambda: render_graph(t), lambda: hash(twin),
+                     lambda: root == twin):
             with pytest.raises(ValueError, match=rf"^slot holds {type(foreign).__name__}, not "):
                 read()
     with pytest.raises(ValueError, match="^slot holds str, not a node, a bullet or None$"):
@@ -138,18 +139,28 @@ def test_readers_that_skip_validate_refuse_a_foreign_slot(foreign):
 ])
 def test_encoding_refuses_a_node_that_validate_calls_malformed(root, message):
     # such a node would be written as another tree's bytes or as bytes
-    # that decode_encoding refuses
+    # that decode_encoding refuses; the counts read the same preorder
+    from witrees.sampler import tree_statistics
+
     t = CompletedTree(2, root)
     assert validate(t, 2).kind == "malformed"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        canonical_encoding(t)
+    for read in (lambda: canonical_encoding(t), lambda: t.size, lambda: t.max_label,
+                 lambda: tree_statistics(t)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read()
 
 
 def test_completed_tree_readers_refuse_an_empty_slot():
+    from witrees.sampler import tree_statistics
+
     t = CompletedTree(2, Node(1, (None, BULLET)))
-    for read in (lambda: t.size, lambda: canonical_encoding(t)):
+    for read in (lambda: t.size, lambda: canonical_encoding(t), lambda: t.max_label,
+                 lambda: tree_statistics(t)):
         with pytest.raises(ValueError, match="^slot holds NoneType, not a node or a bullet$"):
             read()
+    # equality and hashes read the nodes' stream, which has a place for an empty slot
+    assert hash(t) == hash((2, t.root))
+    assert t == CompletedTree(2, t.root) and t != root_tree(2)
     # an empty slot is part of a labeled tree: rendered as no line, compared as empty
     assert render_indented(t) == "1\n  1: *\n"
     assert Node(1, (None, BULLET)) != Node(1, (BULLET, BULLET))
@@ -612,9 +623,9 @@ def test_the_preorder_readers_agree_with_the_node_walks():
     from witrees.sampler import tree_statistics
 
     trees = list(preorder_trees())
-    twins = [CompletedTree(t.arity, t.root) for t in trees]  # every reader walks these nodes
+    twins = [CompletedTree(t.arity, t.root) for t in trees]  # these derive their preorder
     for t, twin in zip(trees, twins):
-        assert t._preorder is not None and twin._preorder is None
+        assert "_preorder" in t.__dict__ and "_preorder" not in twin.__dict__
         assert canonical_encoding(t) == canonical_encoding(twin)
         for arity in (t.arity - 1, t.arity, t.arity + 1):
             assert outcome(validate, t, arity) == outcome(validate, twin, arity)
@@ -672,6 +683,7 @@ def test_sampling_and_the_round_trip_build_no_node(monkeypatch):
         assert validate(t, 2) and t.size == 80
         data = canonical_encoding(t)
         assert canonical_encoding(decode_encoding(data)) == data
+        render_indented(t), render_graph(t)
     assert built == []
     t.root  # the counter sees nodes that are built
     assert len(built) == 79

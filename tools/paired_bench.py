@@ -11,6 +11,13 @@ side also times one ``--setup-only`` start per pair.  Slow spells of a
 shared host tend to last longer than one pass, so both passes of a pair see
 them, and the pair's ratio (this / DIR) cancels most of them.
 
+Both sides run from copies, so that neither checkout's state shows in
+their figures.  Each side's ``src/``, ``perfbench/`` and test fixtures are
+copied, without any ``__pycache__``, under one temporary directory, in
+folders whose names have equal length; every worker runs there with
+PYTHONDONTWRITEBYTECODE set.  So both sides read paths of one length and
+compile every module afresh in every pass.
+
 For ``setup_s``, ``wall_s``, ``peak_rss_mb`` and the seconds of each step,
 the tool prints the median of the per-pair ratios and a distribution-free
 interval for it: the order statistics x_(j) and x_(n+1-j) of the n ratios,
@@ -34,9 +41,11 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -44,6 +53,10 @@ WORKLOADS = ("tables", "asymptotics", "sampling")
 SEEDS = (1, 2, 3)
 PAIRS = 10
 LEVEL = 0.95
+#: What a worker reads of a checkout, copied for each side.
+STAGED = ("src", "perfbench", os.path.join("tests", "fixtures"))
+#: The copies' folder names; equal lengths give both sides paths of one length.
+SIDES = ("this", "that")
 
 
 def median_interval(values: list) -> tuple[float, float, float]:
@@ -74,10 +87,27 @@ def pass_metrics(record: dict, setup_s: float) -> dict:
     return out
 
 
+def stage(checkouts: tuple[str, str], parent: str) -> list[str]:
+    """Copy what a worker reads of each checkout to ``parent``; the copies' roots.
+
+    The copies hold no ``__pycache__`` and none of the benchmark's results
+    or scratch folders.
+    """
+    skip = shutil.ignore_patterns("__pycache__", ".work", "results")
+    roots = []
+    for name, checkout in zip(SIDES, checkouts):
+        root = os.path.join(parent, name)
+        for part in STAGED:
+            shutil.copytree(os.path.join(checkout, part), os.path.join(root, part), ignore=skip)
+        roots.append(root)
+    return roots
+
+
 def spawn(checkout: str, workload: str, seed: int, *flags: str) -> tuple[float, str]:
-    """Run one worker from ``checkout``; its wall time and standard output."""
+    """Run one worker from ``checkout``, writing no bytecode; its wall time and standard output."""
     worker = os.path.join(checkout, "perfbench", "workloads.py")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     cmd = [sys.executable, worker, "--workload", workload, "--seed", str(seed), *flags]
     t0 = perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -96,12 +126,12 @@ def one_side(checkout: str, workload: str, seed: int) -> tuple[dict, list]:
     return pass_metrics(record, setup_s), failures
 
 
-def compare(workload: str, against: str) -> dict:
-    """Run PAIRS alternating pairs of passes; the summary of their ratios."""
+def compare(workload: str, this: str, against: str) -> dict:
+    """Run PAIRS alternating pairs of passes from the two copies; the summary of their ratios."""
     this_runs, other_runs, failures = [], [], []
     for i in range(PAIRS):
         seed = SEEDS[i % len(SEEDS)]
-        sides = ((ROOT, this_runs), (against, other_runs))
+        sides = ((this, this_runs), (against, other_runs))
         for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
             metrics, failed = one_side(checkout, workload, seed)
             runs.append(metrics)
@@ -173,13 +203,15 @@ def main(argv=None) -> int:
         "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workloads": {},
     }
-    for workload in WORKLOADS:
-        result = compare(workload, against)
-        record["workloads"][workload] = result
-        for name, m in result["metrics"].items():
-            print(f"{workload} {describe(name, m)}")
-        for failure in result["failures"]:
-            print(f"{workload} FAILED {failure}")
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as parent:
+        copies = stage((ROOT, against), parent)
+        for workload in WORKLOADS:
+            result = compare(workload, *copies)
+            record["workloads"][workload] = result
+            for name, m in result["metrics"].items():
+                print(f"{workload} {describe(name, m)}")
+            for failure in result["failures"]:
+                print(f"{workload} FAILED {failure}")
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
